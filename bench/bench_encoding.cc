@@ -83,7 +83,7 @@ void RunStrategies(bench::JsonReport& report) {
     });
 
     EncodingSolveOptions big_m;
-    big_m.strategy = EncodingStrategy::kBigM;
+    big_m.strategy = SolveStrategy::kBigM;
     bool sat_big_m = false;
     double big_m_ms = bench::TimeMs([&] {
       auto r = SolveEncodingSystem(*enc, enc->system, big_m);

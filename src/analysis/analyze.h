@@ -2,7 +2,7 @@
 
 // xicc_analyze — the semantic analysis engines over the shared source model.
 //
-// Where xicc_lint checks single lines, these engines check properties that
+// Where the lint rules check single lines, these engines check properties that
 // only exist across statements, functions, and files:
 //
 //   lock-order       global lock-acquisition graph from MutexLock nesting

@@ -1,6 +1,6 @@
 #pragma once
 
-// The shared source-model pass under xicc_analyze and xicc_lint.
+// The shared source-model pass under xicc_analyze's engines and lint rules.
 //
 // Every analysis in src/analysis/ used to re-read and re-scan the tree per
 // rule; this header is the single substrate they now share: one walk of the
@@ -126,7 +126,7 @@ struct SourceFile {
   std::map<size_t, std::vector<std::string>> notes;
 
   /// True when `rule` is suppressed at `line` (1-based): an allow on the
-  /// line itself or on the line directly above (same scope as xicc_lint).
+  /// line itself or on the line directly above (same scope as the lint rules).
   bool Suppressed(size_t line, const std::string& rule) const;
 };
 

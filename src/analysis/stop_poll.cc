@@ -24,12 +24,11 @@ const std::set<std::string>& WorkAnchors() {
   static const std::set<std::string> kAnchors = {
       "SolveIlp",
       "SolveLpFeasibility",
-      "ReSolveLpFeasibilityDual",
       "ReSolveLpFeasibilityDualInPlace",
       "CheckConsistency",
       "CheckImplication",
-      "CheckDelta",
-      "CheckUncached",
+      "DecideConsistency",
+      "DecideImplication",
       "Explore",
       "RunChunk",
       "CompileDtd",

@@ -3,7 +3,7 @@
 // Versioned, endian-stable, integrity-checked binary serialization.
 //
 // This is the ONE place in the tree where bytes are reinterpreted as
-// structured data (xicc_lint's raw-deserialization rule enforces that: no
+// structured data (the raw-deserialization lint rule enforces that: no
 // memcpy-into-struct or reinterpret_cast decoding anywhere else). Everything
 // above — the CompiledDtd artifact format, the on-disk cache — is built from
 // the bounds-checked primitives here, so a truncated, bit-flipped, or

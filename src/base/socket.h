@@ -3,8 +3,8 @@
 // The sanctioned raw-syscall boundary for networking.
 //
 // Everything the daemon layer (src/net) does to a file descriptor goes
-// through the wrappers here; xicc_lint's raw-syscall extension of the
-// raw-blocking rule bans ::socket/::accept/::recv/::poll and friends
+// through the wrappers here; the raw-syscall extension of the
+// raw-blocking lint rule bans ::socket/::accept/::recv/::poll and friends
 // everywhere else, the same way raw sleeps are quarantined to
 // base/deadline.h. The wrappers encode the three invariants the robustness
 // layer depends on:

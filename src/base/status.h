@@ -44,8 +44,8 @@ const char* StatusCodeName(StatusCode code);
 /// A success-or-error value. Cheap to copy in the OK case.
 ///
 /// [[nodiscard]]: silently dropping a Status is how an inconsistent verdict
-/// escapes unnoticed; every call site must consume it (xicc_lint's
-/// void-discard rule keeps `(void)` muting out too).
+/// escapes unnoticed; every call site must consume it (the
+/// void-discard lint rule keeps `(void)` muting out too).
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -1,7 +1,7 @@
 #pragma once
 
 // Clang Thread Safety Analysis attributes plus the annotated lock
-// primitives the rest of the library must use (xicc_lint's raw-concurrency
+// primitives the rest of the library must use (the raw-concurrency lint
 // rule forbids naked std::mutex / std::thread outside src/base/).
 //
 // The macros expand to Clang's capability attributes when the compiler
@@ -125,8 +125,8 @@ class CondVar {
 
   /// Bounded wait: returns false when `timeout_ms` elapsed without a
   /// notification, true on (possibly spurious) wakeup. This is the primitive
-  /// every cancellable sleep in the library is built on — xicc_lint's
-  /// raw-blocking rule bans unbounded waits and raw sleeps elsewhere.
+  /// every cancellable sleep in the library is built on — the
+  /// raw-blocking lint rule bans unbounded waits and raw sleeps elsewhere.
   bool WaitFor(Mutex* mu, int64_t timeout_ms) XICC_REQUIRES(mu) {
     return cv_.wait_for(*mu, std::chrono::milliseconds(timeout_ms)) ==
            std::cv_status::no_timeout;

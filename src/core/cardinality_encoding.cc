@@ -17,9 +17,7 @@ std::string AtomName(const Regex& node) {
 
 }  // namespace
 
-Result<CardinalityEncoding> BuildCardinalityEncoding(
-    const Dtd& dtd, const ConstraintSet& sigma,
-    const std::vector<std::pair<std::string, std::string>>& extra_pairs) {
+Status CheckEncodable(const ConstraintSet& sigma) {
   for (const Constraint& c : sigma.constraints()) {
     if (c.kind == ConstraintKind::kForeignKey) {
       return Status::InvalidArgument(
@@ -35,6 +33,25 @@ Result<CardinalityEncoding> BuildCardinalityEncoding(
                                      "' is not unary");
     }
   }
+  return Status::Ok();
+}
+
+std::set<std::pair<std::string, std::string>> MentionedPairs(
+    const ConstraintSet& sigma) {
+  std::set<std::pair<std::string, std::string>> mentioned;
+  for (const Constraint& c : sigma.constraints()) {
+    mentioned.emplace(c.type1, c.attrs1[0]);
+    if (c.kind == ConstraintKind::kInclusion) {
+      mentioned.emplace(c.type2, c.attrs2[0]);
+    }
+  }
+  return mentioned;
+}
+
+Result<CardinalityEncoding> BuildCardinalityEncoding(
+    const Dtd& dtd, const ConstraintSet& sigma,
+    const std::vector<std::pair<std::string, std::string>>& extra_pairs) {
+  XICC_RETURN_IF_ERROR(CheckEncodable(sigma));
 
   CardinalityEncoding enc;
   XICC_ASSIGN_OR_RETURN(enc.simplified, SimplifyDtd(dtd));
@@ -124,14 +141,9 @@ Result<CardinalityEncoding> BuildCardinalityEncoding(
   }
 
   // C_Σ (Lemma 4.4) over the attribute pairs mentioned in Σ.
-  std::set<std::pair<std::string, std::string>> mentioned(
-      extra_pairs.begin(), extra_pairs.end());
-  for (const Constraint& c : sigma.constraints()) {
-    mentioned.emplace(c.type1, c.attrs1[0]);
-    if (c.kind == ConstraintKind::kInclusion) {
-      mentioned.emplace(c.type2, c.attrs2[0]);
-    }
-  }
+  std::set<std::pair<std::string, std::string>> mentioned =
+      MentionedPairs(sigma);
+  mentioned.insert(extra_pairs.begin(), extra_pairs.end());
   for (const auto& pair : mentioned) {
     if (!dtd.HasAttribute(pair.first, pair.second)) {
       return Status::InvalidArgument("constraint attribute '" + pair.first +

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,10 +60,18 @@ struct CardinalityEncoding {
   std::vector<Occurrence> occurrences;
 };
 
-/// Builds Ψ(D,Σ). `sigma` must already be normalized (no kForeignKey) and
-/// contain only unary keys, unary inclusions, and negated unary keys;
-/// negated inclusions are handled by the Section 5 extension
-/// (set_representation.h) on top of this encoding. `extra_pairs` forces
+/// The precondition of Ψ(D,Σ): `sigma` is normalized (no kForeignKey) and
+/// holds only unary keys, unary inclusions, and negated unary keys; negated
+/// inclusions are handled by the Section 5 extension (set_representation.h)
+/// on top of this encoding. kInvalidArgument names the first offender.
+Status CheckEncodable(const ConstraintSet& sigma);
+
+/// The attribute pairs (τ,l) a normalized unary `sigma` mentions — both
+/// sides of each inclusion — i.e. the pairs that carry C_Σ rows.
+std::set<std::pair<std::string, std::string>> MentionedPairs(
+    const ConstraintSet& sigma);
+
+/// Builds Ψ(D,Σ); `sigma` must pass CheckEncodable. `extra_pairs` forces
 /// ext(τ.l) variables (with bound and conditional rows) for additional
 /// attribute pairs beyond those mentioned in `sigma` — the Section 5 builder
 /// passes the pairs touched only by negated inclusions.

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <optional>
 #include <utility>
 
 #include "base/arena.h"
@@ -193,18 +192,8 @@ class SplitWorker {
 
 class CaseSplitSolver {
  public:
-  /// Copying mode: the solver works on a private copy of `base`.
-  CaseSplitSolver(const LinearSystem& base,
-                  const std::vector<Conditional>& conditionals,
-                  const IlpOptions& options, CaseSplitWarmContext* warm)
-      : owned_(base),
-        work_(&*owned_),
-        conditionals_(conditionals),
-        options_(options),
-        warm_(warm) {}
-
-  /// In-place mode: the solver appends onto `*base`'s trail. The caller owns
-  /// the enclosing checkpoint that rolls those rows back.
+  /// The solver appends onto `*base`'s trail. The caller owns the enclosing
+  /// checkpoint that rolls those rows back.
   CaseSplitSolver(LinearSystem* base,
                   const std::vector<Conditional>& conditionals,
                   const IlpOptions& options, CaseSplitWarmContext* warm)
@@ -283,15 +272,7 @@ class CaseSplitSolver {
       if (leaf->feasible) {
         Accumulate(*leaf);
         IlpSolution out = std::move(*leaf);
-        out.nodes_explored = nodes_;
-        out.lp_pivots = pivots_;
-        out.cuts_added = cuts_;
-        out.warm_starts = warm_starts_;
-        out.cold_restarts = cold_restarts_;
-        out.lp_kernel = kernel_;
-        out.max_depth = max_depth_;
-        FillNumStats(&out);
-        out.wall_ms = ElapsedMs(start);
+        FillStats(&out, nullptr, start);
         return out;
       }
       Accumulate(*leaf);
@@ -324,9 +305,12 @@ class CaseSplitSolver {
       work_->AddConstraint(cond.conclusion, RelOp::kGe, BigInt(1));
       if (tab_ok && options_.warm_start) {
         // Extend the working basis over the freshly forced row so later
-        // probes and the DFS root stay warm; on failure the basis simply
+        // probes and the DFS root stay warm. The re-solve runs on a copy,
+        // adopted only when it ends feasible; on any other outcome the basis
         // keeps covering its old prefix (still a valid warm seed).
-        WarmResult warm = ReSolveLpFeasibilityDual(*work_, &base_tab, stop_);
+        LpTableau extended = base_tab;
+        WarmResult warm =
+            ReSolveLpFeasibilityDualInPlace(*work_, &extended, stop_);
         pivots_ += warm.lp.pivots;
         kernel_.Add(warm.lp);
         if (warm.status == WarmStatus::kAborted) {
@@ -337,6 +321,7 @@ class CaseSplitSolver {
           // Forced conclusions hold in every solution satisfying the
           // conditionals, so their joint infeasibility settles the verdict.
           if (!warm.lp.feasible) return AssembleInfeasible(start);
+          base_tab = std::move(extended);
         }
       }
     }
@@ -359,8 +344,7 @@ class CaseSplitSolver {
       // annotated discipline still wants the lock for the guarded move.
       MutexLock lock(&shared.mu);
       IlpSolution out = std::move(shared.solution);
-      FillStats(&out, shared);
-      out.wall_ms = ElapsedMs(start);
+      FillStats(&out, &shared, start);
       return out;
     }
     if (shared.failed.load()) {
@@ -388,9 +372,7 @@ class CaseSplitSolver {
                        &shared, start);
     }
     IlpSolution out;
-    out.feasible = false;
-    FillStats(&out, shared);
-    out.wall_ms = ElapsedMs(start);
+    FillStats(&out, &shared, start);
     return out;
   }
 
@@ -572,45 +554,22 @@ class CaseSplitSolver {
     if (worker.max_depth > max_depth_) max_depth_ = worker.max_depth;
   }
 
-  void FillStats(IlpSolution* out, const SearchShared& shared) {
-    out->nodes_explored = nodes_ + shared.nodes.load();
+  /// Writes everything counted so far into `out`'s statistics — every exit
+  /// reports this way. `shared` (null before the DFS) adds the pool's node
+  /// count. The arithmetic counters are the calling thread's delta since
+  /// Run() started plus whatever the pool workers flushed: leaf SolveIlp
+  /// calls report their own slices too, but those slices are *contained* in
+  /// this thread's running counters, so the delta counts them exactly once.
+  void FillStats(IlpSolution* out, const SearchShared* shared,
+                 std::chrono::steady_clock::time_point start) const {
+    out->nodes_explored =
+        nodes_ + (shared != nullptr ? shared->nodes.load() : 0);
     out->lp_pivots = pivots_;
     out->cuts_added = cuts_;
     out->warm_starts = warm_starts_;
     out->cold_restarts = cold_restarts_;
     out->lp_kernel = kernel_;
     out->max_depth = max_depth_;
-    FillNumStats(out);
-  }
-
-  /// Assembles the no-verdict exit: `status` says why there is no answer,
-  /// and the caller's partial sink (when given) receives everything counted
-  /// so far — the work already done is part of the contract.
-  Status NoVerdict(Status status, const SearchShared* shared,
-                   std::chrono::steady_clock::time_point start) {
-    if (options_.partial != nullptr) {
-      IlpSolution out;
-      out.feasible = false;
-      out.nodes_explored =
-          nodes_ + (shared != nullptr ? shared->nodes.load() : 0);
-      out.lp_pivots = pivots_;
-      out.cuts_added = cuts_;
-      out.warm_starts = warm_starts_;
-      out.cold_restarts = cold_restarts_;
-      out.lp_kernel = kernel_;
-      out.max_depth = max_depth_;
-      FillNumStats(&out);
-      out.wall_ms = ElapsedMs(start);
-      *options_.partial = out;
-    }
-    return status;
-  }
-
-  /// Calling-thread delta since Run() started, plus whatever the pool
-  /// workers flushed. Leaf SolveIlp calls report their own slices too, but
-  /// those slices are *contained* in this thread's running counters, so the
-  /// delta counts them exactly once.
-  void FillNumStats(IlpSolution* out) const {
     const NumCounters& now = ThisThreadNumCounters();
     out->num_small_ops =
         now.small_ops - counters_before_.small_ops + worker_small_ops_;
@@ -621,25 +580,29 @@ class CaseSplitSolver {
         now.demotions - counters_before_.demotions + worker_demotions_;
     out->arena_bytes = ThisThreadArena().total_allocated() - arena_before_ +
                        worker_arena_bytes_;
+    out->wall_ms = ElapsedMs(start);
+  }
+
+  /// The no-verdict exit: `status` says why there is no answer, and the
+  /// caller's partial sink (when given) receives everything counted so far —
+  /// the work already done is part of the contract.
+  Status NoVerdict(Status status, const SearchShared* shared,
+                   std::chrono::steady_clock::time_point start) {
+    if (options_.partial != nullptr) {
+      *options_.partial = IlpSolution{};
+      FillStats(options_.partial, shared, start);
+    }
+    return status;
   }
 
   Result<IlpSolution> AssembleInfeasible(
       std::chrono::steady_clock::time_point start) {
     IlpSolution out;
-    out.feasible = false;
-    out.nodes_explored = nodes_;
-    out.lp_pivots = pivots_;
-    out.cuts_added = cuts_;
-    out.warm_starts = warm_starts_;
-    out.cold_restarts = cold_restarts_;
-    out.lp_kernel = kernel_;
-    FillNumStats(&out);
-    out.wall_ms = ElapsedMs(start);
+    FillStats(&out, nullptr, start);
     return out;
   }
 
-  std::optional<LinearSystem> owned_;  // Copying mode only.
-  LinearSystem* work_;                 // Points at owned_ or the caller's.
+  LinearSystem* work_;
   const std::vector<Conditional>& conditionals_;
   std::vector<Conditional> active_;  // Survivors of presolve.
   IlpOptions options_;
@@ -660,7 +623,7 @@ class CaseSplitSolver {
   size_t max_depth_ = 0;
   LpKernelStats kernel_;
 
-  // Two-tier arithmetic accounting (see Run/FillNumStats): calling-thread
+  // Two-tier arithmetic accounting (see Run/FillStats): calling-thread
   // baselines plus the pool workers' flushed deltas.
   NumCounters counters_before_;
   uint64_t arena_before_ = 0;
@@ -676,8 +639,8 @@ class CaseSplitSolver {
 Result<IlpSolution> SolveWithConditionals(
     const LinearSystem& base, const std::vector<Conditional>& conditionals,
     const IlpOptions& options, CaseSplitWarmContext* warm) {
-  CaseSplitSolver solver(base, conditionals, options, warm);
-  return solver.Run();
+  LinearSystem work = base;
+  return SolveWithConditionalsInPlace(&work, conditionals, options, warm);
 }
 
 Result<IlpSolution> SolveWithConditionalsInPlace(

@@ -1,268 +1,18 @@
 #include "core/consistency.h"
 
-#include <utility>
-
-#include "constraints/evaluator.h"
-#include "core/encoding_solver.h"
-#include "dtd/analysis.h"
-#include "dtd/validator.h"
+#include "core/verdict.h"
 
 namespace xicc {
-
-namespace {
-
-EncodingSolveOptions ToSolveOptions(const ConsistencyOptions& options) {
-  EncodingSolveOptions out;
-  out.strategy = options.strategy == SolveStrategy::kCaseSplit
-                     ? EncodingStrategy::kCaseSplit
-                     : EncodingStrategy::kBigM;
-  out.ilp = options.ilp;
-  // The check-level stop signal overrides whatever the caller left on the
-  // inner ILP options — one knob arms the whole stack.
-  if (options.stop.Armed()) out.ilp.stop = options.stop;
-  return out;
-}
-
-/// Copies an ILP solution's counters into the check's stats block — used on
-/// verdicts and (via the partial sink) on stopped/exhausted exits alike.
-void FillIlpStats(const IlpSolution& solved, ConsistencyStats* stats) {
-  stats->ilp_nodes = solved.nodes_explored;
-  stats->lp_pivots = solved.lp_pivots;
-  stats->warm_starts = solved.warm_starts;
-  stats->cold_restarts = solved.cold_restarts;
-  stats->search_depth = solved.max_depth;
-  stats->lp_kernel = solved.lp_kernel;
-  stats->num_small_ops = solved.num_small_ops;
-  stats->num_big_ops = solved.num_big_ops;
-  stats->num_promotions = solved.num_promotions;
-  stats->num_demotions = solved.num_demotions;
-  stats->arena_bytes = solved.arena_bytes;
-  stats->ilp_wall_ms = solved.wall_ms;
-}
-
-/// Installs Σ_τ ext(τ) ≥ min_witness_nodes when a minimum size is asked for.
-void ApplyMinimumSize(const ConsistencyOptions& options,
-                      CardinalityEncoding* encoding) {
-  if (options.min_witness_nodes == 0) return;
-  LinearExpr total;
-  for (const auto& [symbol, var] : encoding->ext_var) {
-    // Count the document's element nodes: no text nodes, no synthetic
-    // intermediates (those are erased by the Lemma 4.3 collapse).
-    if (symbol == "S" || encoding->simplified.IsSynthetic(symbol)) continue;
-    total.Add(var, BigInt(1));
-  }
-  encoding->system.AddConstraint(
-      total, RelOp::kGe,
-      BigInt(static_cast<int64_t>(options.min_witness_nodes)));
-}
-
-/// Validates + evaluates a freshly built witness; any failure is a bug in
-/// the encoding or the constructor, surfaced as kInternal.
-Status VerifyWitness(const XmlTree& tree, const Dtd& dtd,
-                     const ConstraintSet& sigma) {
-  ValidationReport validation = ValidateXml(tree, dtd);
-  if (!validation.valid) {
-    return Status::Internal("witness fails DTD validation:\n" +
-                            validation.ToString());
-  }
-  EvaluationReport evaluation = Evaluate(tree, sigma);
-  if (!evaluation.satisfied) {
-    return Status::Internal("witness fails constraint evaluation:\n" +
-                            evaluation.ToString());
-  }
-  return Status::Ok();
-}
-
-Status AttachWitness(const Dtd& dtd, const ConstraintSet& sigma,
-                     const ConsistencyOptions& options, Result<XmlTree> tree,
-                     ConsistencyResult* result) {
-  if (!tree.ok()) {
-    // Witnesses can legitimately be too large to materialize; surface the
-    // reason but keep the verdict.
-    if (tree.status().code() == StatusCode::kResourceExhausted) {
-      result->explanation = tree.status().message();
-      return Status::Ok();
-    }
-    return tree.status();
-  }
-  if (options.verify_witness) {
-    XICC_RETURN_IF_ERROR(VerifyWitness(*tree, dtd, sigma));
-  }
-  result->witness = std::move(tree).value();
-  return Status::Ok();
-}
-
-}  // namespace
 
 Result<ConsistencyResult> CheckConsistency(const Dtd& dtd,
                                            const ConstraintSet& sigma,
                                            const ConsistencyOptions& options) {
   // An already-expired deadline (or pre-fired cancel) exits before any
   // compilation work; the partial report is honestly all-zero.
-  if (options.stop.Armed() && options.stop.ShouldStop()) {
-    if (options.partial_stats != nullptr) {
-      *options.partial_stats = ConsistencyStats{};
-    }
-    return options.stop.ToStatus();
-  }
+  XICC_RETURN_IF_ERROR(CheckNotStopped(options));
   XICC_RETURN_IF_ERROR(sigma.CheckAgainst(dtd));
-  ConstraintSet normalized = sigma.Normalize();
-
-  ConsistencyResult result;
-  result.constraint_class = sigma.Classify();
-
-  switch (result.constraint_class) {
-    case ConstraintClass::kEmpty:
-    case ConstraintClass::kKeysOnly: {
-      // Theorem 3.5(1,2): consistent iff the DTD has a valid tree; keys are
-      // always satisfiable by distinct re-valuation.
-      result.method = result.constraint_class == ConstraintClass::kEmpty
-                          ? "grammar-emptiness"
-                          : "keys-only";
-      result.consistent = DtdHasValidTree(dtd);
-      if (!result.consistent) {
-        result.explanation =
-            "no finite tree conforms to the DTD (the root element type "
-            "cannot derive a finite document)";
-        return result;
-      }
-      if (options.min_witness_nodes > 0) {
-        // Route sizing through the cardinality system over Σ = ∅; the
-        // resulting witness gets globally distinct attribute values, which
-        // satisfy every key (Theorem 3.5(2)'s construction).
-        XICC_ASSIGN_OR_RETURN(CardinalityEncoding enc,
-                              BuildCardinalityEncoding(dtd, ConstraintSet()));
-        ApplyMinimumSize(options, &enc);
-        IlpSolution partial;
-        EncodingSolveOptions solve_options = ToSolveOptions(options);
-        solve_options.ilp.partial = &partial;
-        Result<IlpSolution> sized =
-            SolveEncodingSystem(enc, enc.system, solve_options);
-        if (!sized.ok()) {
-          if (options.partial_stats != nullptr) {
-            FillIlpStats(partial, &result.stats);
-            *options.partial_stats = result.stats;
-          }
-          return sized.status();
-        }
-        IlpSolution solved = std::move(*sized);
-        result.consistent = solved.feasible;
-        if (!result.consistent) {
-          result.explanation =
-              "the DTD admits no document with the requested minimum size";
-          return result;
-        }
-        if (options.build_witness) {
-          XICC_RETURN_IF_ERROR(AttachWitness(
-              dtd, normalized, options,
-              BuildWitnessTree(enc, solved, /*value_sets=*/{},
-                               options.witness),
-              &result));
-        }
-        return result;
-      }
-      if (options.build_witness) {
-        XICC_RETURN_IF_ERROR(AttachWitness(dtd, normalized, options,
-                                           BuildMinimalTree(dtd), &result));
-      }
-      return result;
-    }
-
-    case ConstraintClass::kUnaryKeyFk:
-    case ConstraintClass::kUnaryWithNegKey: {
-      XICC_ASSIGN_OR_RETURN(CardinalityEncoding enc,
-                            BuildCardinalityEncoding(dtd, normalized));
-      ApplyMinimumSize(options, &enc);
-      result.stats.system_variables = enc.system.NumVariables();
-      result.stats.system_constraints =
-          enc.system.NumConstraints() + enc.conditionals.size();
-
-      IlpSolution partial;
-      EncodingSolveOptions solve_options = ToSolveOptions(options);
-      solve_options.ilp.partial = &partial;
-      Result<IlpSolution> solved =
-          SolveEncodingSystem(enc, enc.system, solve_options);
-      if (!solved.ok()) {
-        if (options.partial_stats != nullptr) {
-          FillIlpStats(partial, &result.stats);
-          *options.partial_stats = result.stats;
-        }
-        return solved.status();
-      }
-      result.method = options.strategy == SolveStrategy::kCaseSplit
-                          ? "ilp-case-split"
-                          : "ilp-big-m";
-      FillIlpStats(*solved, &result.stats);
-      result.consistent = solved->feasible;
-      if (!result.consistent) {
-        result.explanation =
-            "the cardinality system Ψ(D,Σ) has no solution over the "
-            "nonnegative integers (Lemma 4.6): the DTD's counting "
-            "constraints contradict the keys/foreign keys";
-        return result;
-      }
-      if (options.build_witness) {
-        auto value_sets = PrefixValueSets(enc, *solved);
-        XICC_RETURN_IF_ERROR(AttachWitness(
-            dtd, normalized, options,
-            BuildWitnessTree(enc, *solved, value_sets, options.witness),
-            &result));
-      }
-      return result;
-    }
-
-    case ConstraintClass::kUnaryWithNegIc: {
-      XICC_ASSIGN_OR_RETURN(
-          SetRepresentationEncoding enc,
-          BuildSetRepresentation(dtd, normalized,
-                                 options.set_representation));
-      ApplyMinimumSize(options, &enc.base);
-      result.stats.system_variables = enc.base.system.NumVariables();
-      result.stats.system_constraints =
-          enc.base.system.NumConstraints() + enc.base.conditionals.size();
-
-      IlpSolution partial;
-      EncodingSolveOptions solve_options = ToSolveOptions(options);
-      solve_options.ilp.partial = &partial;
-      Result<IlpSolution> solved =
-          SolveEncodingSystem(enc.base, enc.base.system, solve_options);
-      if (!solved.ok()) {
-        if (options.partial_stats != nullptr) {
-          FillIlpStats(partial, &result.stats);
-          *options.partial_stats = result.stats;
-        }
-        return solved.status();
-      }
-      result.method = "set-representation";
-      FillIlpStats(*solved, &result.stats);
-      result.consistent = solved->feasible;
-      if (!result.consistent) {
-        result.explanation =
-            "the Section 5 region system Ψ'(D,Σ) has no solution: no "
-            "family of value sets realizes the inclusions and their "
-            "negations under the DTD's cardinalities (Lemma 5.2)";
-        return result;
-      }
-      if (options.build_witness) {
-        auto value_sets = RealizeValueSets(enc, *solved);
-        if (!value_sets.ok()) return value_sets.status();
-        XICC_RETURN_IF_ERROR(AttachWitness(
-            dtd, normalized, options,
-            BuildWitnessTree(enc.base, *solved, *value_sets, options.witness),
-            &result));
-      }
-      return result;
-    }
-
-    case ConstraintClass::kMultiAttribute:
-      return Status::UndecidableClass(
-          "Σ contains multi-attribute foreign keys or inclusion "
-          "constraints; consistency for C_{K,FK} is undecidable "
-          "(Theorem 3.1) — no decision procedure exists. Restrict to unary "
-          "constraints, or validate concrete documents with the dynamic "
-          "evaluator instead.");
-  }
-  return Status::Internal("unhandled constraint class");
+  FreshPath path(dtd);
+  return DecideConsistency(path, sigma, options);
 }
 
 }  // namespace xicc

@@ -6,6 +6,7 @@
 #include "base/deadline.h"
 #include "constraints/constraint.h"
 #include "core/cardinality_encoding.h"
+#include "core/encoding_solver.h"
 #include "core/set_representation.h"
 #include "core/witness.h"
 #include "dtd/dtd.h"
@@ -13,16 +14,6 @@
 #include "xml/tree.h"
 
 namespace xicc {
-
-/// How the conditional rows (ext(τ) > 0 → ext(τ.l) > 0) are discharged.
-enum class SolveStrategy {
-  /// Exact DFS over the 9_X resolutions with LP pruning (default).
-  kCaseSplit,
-  /// The Theorem 4.1 big-M linearization c·y ≥ x with the Papadimitriou
-  /// bound as c. Exact, single ILP call, but with astronomically large
-  /// coefficients; kept for the ablation bench.
-  kBigM,
-};
 
 struct ConsistencyStats;
 

@@ -104,7 +104,7 @@ Result<IlpSolution> SolveEncodingSystemInPlace(
       return options.ilp.stop.ToStatus();
     }
     Result<IlpSolution> solved =
-        options.strategy == EncodingStrategy::kCaseSplit
+        options.strategy == SolveStrategy::kCaseSplit
             ? SolveWithConditionalsInPlace(system, conditionals, options.ilp,
                                            warm)
             : SolveIlp(ApplyBigMLinearization(*system, conditionals),

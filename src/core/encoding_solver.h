@@ -7,15 +7,18 @@
 
 namespace xicc {
 
-/// Strategy for discharging the conditional rows (see consistency.h for the
-/// user-facing enum; this header is shared by consistency and implication).
-enum class EncodingStrategy {
+/// How the conditional rows (ext(τ) > 0 → ext(τ.l) > 0) are discharged.
+enum class SolveStrategy {
+  /// Exact DFS over the 9_X resolutions with LP pruning (default).
   kCaseSplit,
+  /// The Theorem 4.1 big-M linearization c·y ≥ x with the Papadimitriou
+  /// bound as c. Exact, single ILP call, but with astronomically large
+  /// coefficients; kept for the ablation bench.
   kBigM,
 };
 
 struct EncodingSolveOptions {
-  EncodingStrategy strategy = EncodingStrategy::kCaseSplit;
+  SolveStrategy strategy = SolveStrategy::kCaseSplit;
   IlpOptions ilp;
   /// Cap on lazy support-connectivity rounds.
   size_t max_connectivity_rounds = 64;

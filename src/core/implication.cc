@@ -1,214 +1,16 @@
 #include "core/implication.h"
 
-#include <set>
-#include <utility>
-
-#include "constraints/evaluator.h"
-#include "core/encoding_solver.h"
-#include "core/witness.h"
-#include "dtd/analysis.h"
-#include "dtd/validator.h"
+#include "core/verdict.h"
 
 namespace xicc {
-
-namespace {
-
-/// Σ subsumes φ = τ[X] → τ iff some key τ[Y] → τ in Σ has Y ⊆ X (then φ is
-/// a superkey of it). Foreign keys contribute their key component.
-bool Subsumes(const ConstraintSet& sigma, const Constraint& phi) {
-  std::set<std::string> x(phi.attrs1.begin(), phi.attrs1.end());
-  ConstraintSet normalized = sigma.Normalize();
-  for (const Constraint& c : normalized.constraints()) {
-    if (c.kind != ConstraintKind::kKey || c.type1 != phi.type1) continue;
-    bool subset = true;
-    for (const std::string& attr : c.attrs1) {
-      if (x.count(attr) == 0) {
-        subset = false;
-        break;
-      }
-    }
-    if (subset) return true;
-  }
-  return false;
-}
-
-/// The Lemma 3.7 counterexample: a valid tree with two τ elements agreeing
-/// on X and all other attribute values pairwise distinct. Built through the
-/// ILP pipeline (Ψ_D plus ext(τ) ≥ 2) and post-edited.
-Result<XmlTree> BuildKeyCounterexample(const Dtd& dtd, const Constraint& phi,
-                                       const ConsistencyOptions& options) {
-  XICC_ASSIGN_OR_RETURN(CardinalityEncoding enc,
-                        BuildCardinalityEncoding(dtd, ConstraintSet()));
-  enc.system.AddConstraint(LinearExpr::Var(enc.ext_var.at(phi.type1)),
-                           RelOp::kGe, BigInt(2));
-  EncodingSolveOptions solve_options;
-  solve_options.ilp = options.ilp;
-  XICC_ASSIGN_OR_RETURN(
-      IlpSolution solution,
-      SolveEncodingSystem(enc, enc.system, solve_options));
-  if (!solution.feasible) {
-    return Status::Internal(
-        "Lemma 3.6 said two elements are possible but Ψ_D disagrees");
-  }
-  XICC_ASSIGN_OR_RETURN(
-      XmlTree tree,
-      BuildWitnessTree(enc, solution, /*value_sets=*/{}, options.witness));
-  std::vector<NodeId> nodes = tree.ExtOfType(phi.type1);
-  if (nodes.size() < 2) {
-    return Status::Internal("counterexample tree lacks two '" + phi.type1 +
-                            "' elements");
-  }
-  for (const std::string& attr : phi.attrs1) {
-    auto value = tree.AttributeValue(nodes[0], attr);
-    if (!value.has_value()) {
-      return Status::Internal("counterexample element missing attribute '" +
-                              attr + "'");
-    }
-    tree.SetAttribute(nodes[1], attr, std::string(*value));
-  }
-  return tree;
-}
-
-Status VerifyCounterexample(const XmlTree& tree, const Dtd& dtd,
-                            const ConstraintSet& sigma,
-                            const Constraint& phi) {
-  ValidationReport validation = ValidateXml(tree, dtd);
-  if (!validation.valid) {
-    return Status::Internal("counterexample fails DTD validation:\n" +
-                            validation.ToString());
-  }
-  EvaluationReport on_sigma = Evaluate(tree, sigma);
-  if (!on_sigma.satisfied) {
-    return Status::Internal("counterexample violates Σ:\n" +
-                            on_sigma.ToString());
-  }
-  EvaluationReport on_phi = Evaluate(tree, phi);
-  if (on_phi.satisfied) {
-    return Status::Internal("counterexample satisfies φ = " + phi.ToString());
-  }
-  return Status::Ok();
-}
-
-Result<Constraint> Negate(const Constraint& phi) {
-  switch (phi.kind) {
-    case ConstraintKind::kKey:
-      if (!phi.IsUnary()) {
-        return Status::UndecidableClass(
-            "implication of the multi-attribute key '" + phi.ToString() +
-            "' by non-key constraints is undecidable (Corollary 3.4)");
-      }
-      return Constraint::NegKey(phi.type1, phi.attrs1);
-    case ConstraintKind::kInclusion:
-      if (!phi.IsUnary()) {
-        return Status::UndecidableClass(
-            "implication of the multi-attribute inclusion '" +
-            phi.ToString() + "' is undecidable (Corollary 3.4)");
-      }
-      return Constraint::NegInclusion(phi.type1, phi.attrs1, phi.type2,
-                                      phi.attrs2);
-    default:
-      return Status::InvalidArgument(
-          "only keys and inclusion constraints can be negated directly");
-  }
-}
-
-}  // namespace
 
 Result<ImplicationResult> CheckImplication(const Dtd& dtd,
                                            const ConstraintSet& sigma,
                                            const Constraint& phi,
                                            const ConsistencyOptions& options) {
   XICC_RETURN_IF_ERROR(sigma.CheckAgainst(dtd));
-  {
-    ConstraintSet just_phi;
-    just_phi.Add(phi);
-    XICC_RETURN_IF_ERROR(just_phi.CheckAgainst(dtd));
-  }
-
-  // A foreign key is the conjunction of its inclusion and key components
-  // ((D,Σ) ⊢ ℓ1 ∧ ℓ2, Section 2.2): implied iff both are.
-  if (phi.kind == ConstraintKind::kForeignKey) {
-    Constraint inclusion =
-        Constraint::Inclusion(phi.type1, phi.attrs1, phi.type2, phi.attrs2);
-    Constraint key = Constraint::Key(phi.type2, phi.attrs2);
-    XICC_ASSIGN_OR_RETURN(ImplicationResult on_inclusion,
-                          CheckImplication(dtd, sigma, inclusion, options));
-    if (!on_inclusion.implied) {
-      on_inclusion.explanation =
-          "the inclusion component is not implied; " +
-          on_inclusion.explanation;
-      return on_inclusion;
-    }
-    XICC_ASSIGN_OR_RETURN(ImplicationResult on_key,
-                          CheckImplication(dtd, sigma, key, options));
-    if (!on_key.implied) {
-      on_key.explanation =
-          "the key component is not implied; " + on_key.explanation;
-    }
-    return on_key;
-  }
-
-  ConstraintClass sigma_class = sigma.Classify();
-
-  // Theorem 3.5(3) / Lemma 3.7: keys implied by keys, in linear time, for
-  // any arity.
-  if (phi.kind == ConstraintKind::kKey &&
-      (sigma_class == ConstraintClass::kEmpty ||
-       sigma_class == ConstraintClass::kKeysOnly)) {
-    ImplicationResult result;
-    result.method = "keys-only";
-    if (Subsumes(sigma, phi)) {
-      result.implied = true;
-      result.explanation = "Σ contains a key that φ is a superkey of";
-      return result;
-    }
-    if (!CanHaveTwo(dtd, phi.type1)) {
-      result.implied = true;
-      result.explanation =
-          "no tree valid w.r.t. the DTD contains two '" + phi.type1 +
-          "' elements, so every key over it holds vacuously (Lemma 3.6)";
-      return result;
-    }
-    result.implied = false;
-    result.explanation =
-        "Σ does not subsume φ and some valid tree has two '" + phi.type1 +
-        "' elements sharing the key attributes (Lemma 3.7)";
-    if (options.build_witness) {
-      XICC_ASSIGN_OR_RETURN(XmlTree tree,
-                            BuildKeyCounterexample(dtd, phi, options));
-      if (options.verify_witness) {
-        XICC_RETURN_IF_ERROR(VerifyCounterexample(tree, dtd, sigma, phi));
-      }
-      result.counterexample = std::move(tree);
-    }
-    return result;
-  }
-
-  // General path: (D,Σ) ⊢ φ iff Σ ∪ {¬φ} is inconsistent over D.
-  XICC_ASSIGN_OR_RETURN(Constraint negated, Negate(phi));
-  ConstraintSet refutation = sigma;
-  refutation.Add(std::move(negated));
-  XICC_ASSIGN_OR_RETURN(ConsistencyResult consistency,
-                        CheckConsistency(dtd, refutation, options));
-  ImplicationResult result;
-  result.method = "refutation";
-  result.stats = consistency.stats;
-  result.implied = !consistency.consistent;
-  if (result.implied) {
-    result.explanation = "Σ ∪ {¬φ} is inconsistent over D: " +
-                         consistency.explanation;
-  } else {
-    result.explanation =
-        "Σ ∪ {¬φ} is consistent over D; the witness violates φ";
-    if (consistency.witness.has_value()) {
-      if (options.verify_witness) {
-        XICC_RETURN_IF_ERROR(VerifyCounterexample(*consistency.witness, dtd,
-                                                  sigma, phi));
-      }
-      result.counterexample = std::move(consistency.witness);
-    }
-  }
-  return result;
+  FreshPath path(dtd);
+  return DecideImplication(path, sigma, phi, options);
 }
 
 }  // namespace xicc

@@ -7,10 +7,9 @@
 #include <utility>
 
 #include "base/debug.h"
-#include "constraints/evaluator.h"
 #include "core/audit.h"
 #include "core/encoding_solver.h"
-#include "dtd/validator.h"
+#include "core/verdict.h"
 #include "ilp/audit.h"
 
 namespace xicc {
@@ -22,33 +21,6 @@ double ElapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(  // xicc-lint: allow(exact-arithmetic)
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-EncodingSolveOptions ToSolveOptions(const ConsistencyOptions& options) {
-  EncodingSolveOptions out;
-  out.strategy = options.strategy == SolveStrategy::kCaseSplit
-                     ? EncodingStrategy::kCaseSplit
-                     : EncodingStrategy::kBigM;
-  out.ilp = options.ilp;
-  // One knob arms the whole stack, mirroring consistency.cc.
-  if (options.stop.Armed()) out.ilp.stop = options.stop;
-  return out;
-}
-
-/// Mirrors consistency.cc: one ILP solution's counters into a stats block.
-void FillIlpStats(const IlpSolution& solved, ConsistencyStats* stats) {
-  stats->ilp_nodes = solved.nodes_explored;
-  stats->lp_pivots = solved.lp_pivots;
-  stats->warm_starts = solved.warm_starts;
-  stats->cold_restarts = solved.cold_restarts;
-  stats->search_depth = solved.max_depth;
-  stats->lp_kernel = solved.lp_kernel;
-  stats->num_small_ops = solved.num_small_ops;
-  stats->num_big_ops = solved.num_big_ops;
-  stats->num_promotions = solved.num_promotions;
-  stats->num_demotions = solved.num_demotions;
-  stats->arena_bytes = solved.arena_bytes;
-  stats->ilp_wall_ms = solved.wall_ms;
 }
 
 /// Canonical cache key: the normalized constraints rendered and sorted, so
@@ -69,104 +41,12 @@ std::string CanonicalKey(const ConstraintSet& combined) {
   return key;
 }
 
-/// Same check as consistency.cc's VerifyWitness, with content models matched
-/// through the compiled frozen DFAs.
-Status VerifyWitness(const XmlTree& tree, const CompiledDtd& compiled,
-                     const ConstraintSet& sigma) {
-  ValidationReport validation =
-      ValidateXml(tree, compiled.dtd, &compiled.content_models, {});
-  if (!validation.valid) {
-    return Status::Internal("witness fails DTD validation:\n" +
-                            validation.ToString());
-  }
-  EvaluationReport evaluation = Evaluate(tree, sigma);
-  if (!evaluation.satisfied) {
-    return Status::Internal("witness fails constraint evaluation:\n" +
-                            evaluation.ToString());
-  }
-  return Status::Ok();
-}
-
-/// Mirrors consistency.cc's AttachWitness: too-large witnesses degrade to an
-/// explanation, everything else is verified and attached.
-Status AttachWitness(const CompiledDtd& compiled, const ConstraintSet& sigma,
-                     const ConsistencyOptions& options, Result<XmlTree> tree,
-                     ConsistencyResult* result) {
-  if (!tree.ok()) {
-    if (tree.status().code() == StatusCode::kResourceExhausted) {
-      result->explanation = tree.status().message();
-      return Status::Ok();
-    }
-    return tree.status();
-  }
-  if (options.verify_witness) {
-    XICC_RETURN_IF_ERROR(VerifyWitness(*tree, compiled, sigma));
-  }
-  result->witness = std::move(tree).value();
-  return Status::Ok();
-}
-
-/// Σ subsumes φ = τ[X] → τ iff some key τ[Y] → τ in Σ has Y ⊆ X (as in
-/// implication.cc).
-bool Subsumes(const ConstraintSet& sigma, const Constraint& phi) {
-  std::set<std::string> x(phi.attrs1.begin(), phi.attrs1.end());
-  ConstraintSet normalized = sigma.Normalize();
-  for (const Constraint& c : normalized.constraints()) {
-    if (c.kind != ConstraintKind::kKey || c.type1 != phi.type1) continue;
-    bool subset = true;
-    for (const std::string& attr : c.attrs1) {
-      if (x.count(attr) == 0) {
-        subset = false;
-        break;
-      }
-    }
-    if (subset) return true;
-  }
-  return false;
-}
-
-Result<Constraint> Negate(const Constraint& phi) {
-  switch (phi.kind) {
-    case ConstraintKind::kKey:
-      if (!phi.IsUnary()) {
-        return Status::UndecidableClass(
-            "implication of the multi-attribute key '" + phi.ToString() +
-            "' by non-key constraints is undecidable (Corollary 3.4)");
-      }
-      return Constraint::NegKey(phi.type1, phi.attrs1);
-    case ConstraintKind::kInclusion:
-      if (!phi.IsUnary()) {
-        return Status::UndecidableClass(
-            "implication of the multi-attribute inclusion '" +
-            phi.ToString() + "' is undecidable (Corollary 3.4)");
-      }
-      return Constraint::NegInclusion(phi.type1, phi.attrs1, phi.type2,
-                                      phi.attrs2);
-    default:
-      return Status::InvalidArgument(
-          "only keys and inclusion constraints can be negated directly");
-  }
-}
-
-Status VerifyCounterexample(const XmlTree& tree, const CompiledDtd& compiled,
-                            const ConstraintSet& sigma,
-                            const Constraint& phi) {
-  ValidationReport validation =
-      ValidateXml(tree, compiled.dtd, &compiled.content_models, {});
-  if (!validation.valid) {
-    return Status::Internal("counterexample fails DTD validation:\n" +
-                            validation.ToString());
-  }
-  EvaluationReport on_sigma = Evaluate(tree, sigma);
-  if (!on_sigma.satisfied) {
-    return Status::Internal("counterexample violates Σ:\n" +
-                            on_sigma.ToString());
-  }
-  EvaluationReport on_phi = Evaluate(tree, phi);
-  if (on_phi.satisfied) {
-    return Status::Internal("counterexample satisfies φ = " + phi.ToString());
-  }
-  return Status::Ok();
+/// Whether a normalized constraint has a C_Σ row on the skeleton (unary
+/// keys, negated keys and inclusions; see AppendConstraintRow).
+bool HasSkeletonRow(const Constraint& c) {
+  return c.IsUnary() && (c.kind == ConstraintKind::kKey ||
+                         c.kind == ConstraintKind::kNegKey ||
+                         c.kind == ConstraintKind::kInclusion);
 }
 
 }  // namespace
@@ -332,11 +212,116 @@ SpecSession::SpecSession(std::shared_ptr<const CompiledDtd> compiled,
   options_.partial_stats = &last_partial_;
 }
 
-Result<ConsistencyResult> SpecSession::Check(const ConstraintSet& sigma) {
-  if (options_.stop.Armed() && options_.stop.ShouldStop()) {
-    last_partial_ = ConsistencyStats{};
-    return options_.stop.ToStatus();
+/// The session's side of the one verdict path (core/verdict.h): facts from
+/// the compiled DTD, and the cardinality cells solved as Σ-delta rows on the
+/// compiled skeleton. The Section 5 region system (its z_θ variables depend
+/// on Σ, so there is no shared skeleton to delta against) and the Lemma 3.7
+/// counterexample (a one-off tree build) stay fresh, counted as fallbacks.
+class SpecSession::Path final : public FreshPath {
+ public:
+  explicit Path(SpecSession* session)
+      : FreshPath(session->compiled_->dtd), session_(*session) {}
+
+  const CompiledContentModels* content_models() const override {
+    return &session_.compiled_->content_models;
   }
+  bool HasValidTree() const override {
+    return session_.compiled_->facts.has_valid_tree;
+  }
+  bool CanHaveTwo(const std::string& type) const override {
+    const auto& multiplicity = session_.compiled_->facts.multiplicity;
+    auto it = multiplicity.find(type);
+    return it != multiplicity.end() && it->second == Multiplicity::kAtLeastTwo;
+  }
+  Result<XmlTree> MinimalTree() const override {
+    return session_.compiled_->minimal_plan.Build(dtd());
+  }
+
+  Result<SolvedPsi> SolveCardinality(const ConstraintSet& encoded,
+                                     const EncodingSolveOptions& solve,
+                                     const ConsistencyOptions& options,
+                                     ConsistencyStats* stats) override {
+    return session_.SolveDelta(encoded, solve, options, stats);
+  }
+  Result<SolvedPsi> SolveRegions(const ConstraintSet& encoded,
+                                 const EncodingSolveOptions& solve,
+                                 const ConsistencyOptions& options,
+                                 ConsistencyStats* stats) override {
+    ++session_.stats_.fresh_fallbacks;
+    return FreshPath::SolveRegions(encoded, solve, options, stats);
+  }
+  Result<XmlTree> TreeWithTwo(const std::string& type,
+                              const ConsistencyOptions& options) override {
+    ++session_.stats_.fresh_fallbacks;
+    return FreshPath::TreeWithTwo(type, options);
+  }
+
+  /// Answered by the session's own Check of the one-constraint delta, so the
+  /// refutation rides the skeleton and the memo (`sigma` is committed()).
+  Result<ConsistencyResult> Refute(const ConstraintSet& /*sigma*/,
+                                   const Constraint& negated,
+                                   const ConsistencyOptions& /*options*/)
+      override {
+    ConstraintSet delta;
+    delta.Add(negated);
+    return session_.Check(delta);
+  }
+
+ private:
+  SpecSession& session_;
+};
+
+Result<SolvedPsi> SpecSession::SolveDelta(const ConstraintSet& encoded,
+                                          const EncodingSolveOptions& solve,
+                                          const ConsistencyOptions& options,
+                                          ConsistencyStats* stats) {
+  XICC_RETURN_IF_ERROR(CheckEncodable(encoded));
+  const CardinalityEncoding& sk = compiled_->skeleton;
+  ++stats_.sigma_delta_checks;
+  stats->sigma_delta_checks = 1;
+
+  // Everything below the checkpoint is this query's: the C_Σ rows, the
+  // min-size row, and whatever the in-place solver pushes. Audit builds
+  // check the trail and the warm basis at this boundary — the exact
+  // precondition of the Σ-delta warm re-solve.
+  XICC_DCHECK_AUDIT(AuditTrail(system_));
+  if (warm_.valid) {
+    XICC_DCHECK_AUDIT(AuditTableau(system_, warm_.base_tableau));
+  }
+  TrailScope scope(&system_);
+
+  // Committed constraints' rows are already materialized below every
+  // checkpoint (see Commit); only the true delta rides the trail.
+  for (const Constraint& c : encoded.constraints()) {
+    if (encoded_committed_.count(c.ToString()) > 0) continue;
+    AppendConstraintRow(c);
+  }
+  AddMinimumSizeRow(sk, options.min_witness_nodes, &system_);
+
+  // Conditionals only for the mentioned pairs, exactly as the fresh
+  // encoding carries them; unmentioned pairs stay slack (0 ≤ y ≤ x).
+  std::vector<Conditional> conditionals;
+  for (const auto& pair : MentionedPairs(encoded)) {
+    conditionals.push_back({LinearExpr::Var(sk.ext_var.at(pair.first)),
+                            LinearExpr::Var(sk.attr_var.at(pair))});
+  }
+  stats->system_variables = system_.NumVariables();
+  stats->system_constraints = system_.NumConstraints() + conditionals.size();
+
+  // A stopped or exhausted solve unwinds the trail via `scope` exactly as a
+  // verdict does.
+  Result<IlpSolution> solved =
+      SolveEncodingSystemInPlace(sk, &system_, conditionals, solve, &warm_);
+  XICC_DCHECK_AUDIT(AuditTrail(system_));
+  if (warm_.valid) {
+    XICC_DCHECK_AUDIT(AuditTableau(system_, warm_.base_tableau));
+  }
+  if (!solved.ok()) return solved.status();
+  return SolvedPsi{std::move(*solved), &sk, /*regions=*/nullptr};
+}
+
+Result<ConsistencyResult> SpecSession::Check(const ConstraintSet& sigma) {
+  XICC_RETURN_IF_ERROR(CheckNotStopped(options_));
   XICC_RETURN_IF_ERROR(sigma.CheckAgainst(compiled_->dtd));
   ConstraintSet combined = committed_;
   for (const Constraint& c : sigma.constraints()) combined.Add(c);
@@ -378,7 +363,8 @@ Result<ConsistencyResult> SpecSession::Check(const ConstraintSet& sigma) {
   XICC_DCHECK_AUDIT(AuditCompiledDtd(*compiled_));
   Result<ConsistencyResult> result = [&] {
     StageTimer timer(&stage_tally_, Stage::kSolve);
-    return CheckUncached(combined);
+    Path path(this);
+    return DecideConsistency(path, combined, options_);
   }();
   // The query must leave the shared artifact untouched and the session trail
   // balanced (every push the solve made was popped).
@@ -402,278 +388,9 @@ Result<ConsistencyResult> SpecSession::Check(const ConstraintSet& sigma) {
   return result;
 }
 
-Result<ConsistencyResult> SpecSession::CheckUncached(
-    const ConstraintSet& combined) {
-  ConstraintSet normalized = combined.Normalize();
-  ConsistencyResult result;
-  result.constraint_class = combined.Classify();
-
-  switch (result.constraint_class) {
-    case ConstraintClass::kEmpty:
-    case ConstraintClass::kKeysOnly: {
-      result.method = result.constraint_class == ConstraintClass::kEmpty
-                          ? "grammar-emptiness"
-                          : "keys-only";
-      result.consistent = compiled_->facts.has_valid_tree;
-      if (!result.consistent) {
-        result.explanation =
-            "no finite tree conforms to the DTD (the root element type "
-            "cannot derive a finite document)";
-        return result;
-      }
-      if (options_.min_witness_nodes > 0) {
-        // Route sizing through the Σ-delta path over C_Σ = ∅; the witness
-        // gets globally distinct attribute values, which satisfy every key.
-        return CheckDelta(ConstraintSet(), normalized, std::move(result),
-                          DeltaKind::kMinSizeOnly);
-      }
-      if (options_.build_witness) {
-        XICC_RETURN_IF_ERROR(AttachWitness(
-            *compiled_, normalized, options_,
-            compiled_->minimal_plan.Build(compiled_->dtd), &result));
-      }
-      return result;
-    }
-
-    case ConstraintClass::kUnaryKeyFk:
-    case ConstraintClass::kUnaryWithNegKey:
-      return CheckDelta(normalized, normalized, std::move(result),
-                        DeltaKind::kCardinality);
-
-    case ConstraintClass::kUnaryWithNegIc:
-    case ConstraintClass::kMultiAttribute:
-      // Negated inclusions need the per-query Section 5 region system (its
-      // z_θ variables depend on Σ, so there is no shared skeleton to delta
-      // against); the undecidable class errors out identically either way.
-      ++stats_.fresh_fallbacks;
-      return CheckConsistency(compiled_->dtd, combined, options_);
-  }
-  return Status::Internal("unhandled constraint class");
-}
-
-Result<ConsistencyResult> SpecSession::CheckDelta(const ConstraintSet& encoded,
-                                                  const ConstraintSet& evaluate,
-                                                  ConsistencyResult result,
-                                                  DeltaKind kind) {
-  const CardinalityEncoding& sk = compiled_->skeleton;
-
-  // Same preconditions BuildCardinalityEncoding enforces on the fresh path.
-  for (const Constraint& c : encoded.constraints()) {
-    if (c.kind == ConstraintKind::kForeignKey) {
-      return Status::InvalidArgument(
-          "BuildCardinalityEncoding expects a normalized constraint set");
-    }
-    if (c.kind == ConstraintKind::kNegInclusion) {
-      return Status::InvalidArgument(
-          "negated inclusions require the Section 5 set-representation "
-          "system");
-    }
-    if (!c.IsUnary()) {
-      return Status::InvalidArgument("constraint '" + c.ToString() +
-                                     "' is not unary");
-    }
-  }
-
-  ++stats_.sigma_delta_checks;
-  result.stats.sigma_delta_checks = 1;
-
-  std::set<std::pair<std::string, std::string>> mentioned;
-  for (const Constraint& c : encoded.constraints()) {
-    mentioned.emplace(c.type1, c.attrs1[0]);
-    if (c.kind == ConstraintKind::kInclusion) {
-      mentioned.emplace(c.type2, c.attrs2[0]);
-    }
-  }
-
-  // Everything below the checkpoint is this query's: the C_Σ rows, the
-  // min-size row, and whatever the in-place solver pushes. Audit builds
-  // check the trail and the warm basis at this boundary — the exact
-  // precondition of the Σ-delta warm re-solve.
-  XICC_DCHECK_AUDIT(AuditTrail(system_));
-  if (warm_.valid) {
-    XICC_DCHECK_AUDIT(AuditTableau(system_, warm_.base_tableau));
-  }
-  TrailScope scope(&system_);
-
-  // Committed constraints' rows are already materialized below every
-  // checkpoint (see Commit); only the true delta rides the trail.
-  for (const Constraint& c : encoded.constraints()) {
-    if (encoded_committed_.count(c.ToString()) > 0) continue;
-    AppendConstraintRow(c);
-  }
-  if (options_.min_witness_nodes > 0) {
-    LinearExpr total;
-    for (const auto& [symbol, var] : sk.ext_var) {
-      if (symbol == "S" || sk.simplified.IsSynthetic(symbol)) continue;
-      total.Add(var, BigInt(1));
-    }
-    system_.AddConstraint(
-        total, RelOp::kGe,
-        BigInt(static_cast<int64_t>(options_.min_witness_nodes)));
-  }
-
-  // Conditionals only for the mentioned pairs, exactly as the fresh
-  // encoding carries them; unmentioned pairs stay slack (0 ≤ y ≤ x).
-  std::vector<Conditional> conditionals;
-  conditionals.reserve(mentioned.size());
-  for (const auto& pair : mentioned) {
-    conditionals.push_back({LinearExpr::Var(sk.ext_var.at(pair.first)),
-                            LinearExpr::Var(sk.attr_var.at(pair))});
-  }
-
-  result.stats.system_variables = system_.NumVariables();
-  result.stats.system_constraints =
-      system_.NumConstraints() + conditionals.size();
-
-  IlpSolution partial;
-  EncodingSolveOptions solve_options = ToSolveOptions(options_);
-  solve_options.ilp.partial = &partial;
-  Result<IlpSolution> solved = SolveEncodingSystemInPlace(
-      sk, &system_, conditionals, solve_options, &warm_);
-  XICC_DCHECK_AUDIT(AuditTrail(system_));
-  if (warm_.valid) {
-    XICC_DCHECK_AUDIT(AuditTableau(system_, warm_.base_tableau));
-  }
-  if (!solved.ok()) {
-    // A stopped or exhausted delta check still reports the work it did;
-    // the trail itself unwinds via `scope` exactly as on a verdict.
-    FillIlpStats(partial, &result.stats);
-    last_partial_ = result.stats;
-    return solved.status();
-  }
-
-  if (kind == DeltaKind::kCardinality) {
-    result.method = options_.strategy == SolveStrategy::kCaseSplit
-                        ? "ilp-case-split"
-                        : "ilp-big-m";
-  }
-  FillIlpStats(*solved, &result.stats);
-  result.consistent = solved->feasible;
-  if (!result.consistent) {
-    result.explanation =
-        kind == DeltaKind::kMinSizeOnly
-            ? "the DTD admits no document with the requested minimum size"
-            : "the cardinality system Ψ(D,Σ) has no solution over the "
-              "nonnegative integers (Lemma 4.6): the DTD's counting "
-              "constraints contradict the keys/foreign keys";
-    return result;
-  }
-  if (options_.build_witness) {
-    // The Lemma 4.4 prefix value sets, restricted to the mentioned pairs
-    // (the skeleton's attr_var covers every declared pair; unmentioned ones
-    // take fresh distinct values inside BuildWitnessTree, as on the fresh
-    // path).
-    std::map<std::pair<std::string, std::string>, std::vector<std::string>>
-        value_sets;
-    for (const auto& pair : mentioned) {
-      const BigInt& count = solved->values[sk.attr_var.at(pair)];
-      std::vector<std::string> values;
-      if (count.FitsInt64()) {
-        int64_t n = count.ToInt64();
-        values.reserve(static_cast<size_t>(n));
-        for (int64_t i = 1; i <= n; ++i) {
-          values.push_back("a" + std::to_string(i));
-        }
-      }
-      value_sets.emplace(pair, std::move(values));
-    }
-    XICC_RETURN_IF_ERROR(AttachWitness(
-        *compiled_, evaluate, options_,
-        BuildWitnessTree(sk, *solved, value_sets, options_.witness), &result));
-  }
-  return result;
-}
-
 Result<ImplicationResult> SpecSession::Implies(const Constraint& phi) {
-  const Dtd& dtd = compiled_->dtd;
-  {
-    ConstraintSet just_phi;
-    just_phi.Add(phi);
-    XICC_RETURN_IF_ERROR(just_phi.CheckAgainst(dtd));
-  }
-
-  // A foreign key is implied iff both of its components are (Section 2.2).
-  if (phi.kind == ConstraintKind::kForeignKey) {
-    Constraint inclusion =
-        Constraint::Inclusion(phi.type1, phi.attrs1, phi.type2, phi.attrs2);
-    Constraint key = Constraint::Key(phi.type2, phi.attrs2);
-    XICC_ASSIGN_OR_RETURN(ImplicationResult on_inclusion, Implies(inclusion));
-    if (!on_inclusion.implied) {
-      on_inclusion.explanation = "the inclusion component is not implied; " +
-                                 on_inclusion.explanation;
-      return on_inclusion;
-    }
-    XICC_ASSIGN_OR_RETURN(ImplicationResult on_key, Implies(key));
-    if (!on_key.implied) {
-      on_key.explanation =
-          "the key component is not implied; " + on_key.explanation;
-    }
-    return on_key;
-  }
-
-  ConstraintClass sigma_class = committed_.Classify();
-
-  // Lemma 3.7 fast path from the compiled multiplicity facts.
-  if (phi.kind == ConstraintKind::kKey &&
-      (sigma_class == ConstraintClass::kEmpty ||
-       sigma_class == ConstraintClass::kKeysOnly)) {
-    ImplicationResult result;
-    result.method = "keys-only";
-    if (Subsumes(committed_, phi)) {
-      result.implied = true;
-      result.explanation = "Σ contains a key that φ is a superkey of";
-      return result;
-    }
-    auto mult = compiled_->facts.multiplicity.find(phi.type1);
-    bool can_have_two = mult != compiled_->facts.multiplicity.end() &&
-                        mult->second == Multiplicity::kAtLeastTwo;
-    if (!can_have_two) {
-      result.implied = true;
-      result.explanation =
-          "no tree valid w.r.t. the DTD contains two '" + phi.type1 +
-          "' elements, so every key over it holds vacuously (Lemma 3.6)";
-      return result;
-    }
-    if (options_.build_witness) {
-      // The Lemma 3.7 counterexample construction is a one-off tree build;
-      // route it through the fresh pipeline.
-      ++stats_.fresh_fallbacks;
-      return CheckImplication(dtd, committed_, phi, options_);
-    }
-    result.implied = false;
-    result.explanation =
-        "Σ does not subsume φ and some valid tree has two '" + phi.type1 +
-        "' elements sharing the key attributes (Lemma 3.7)";
-    return result;
-  }
-
-  // General path: (D,Σ) ⊢ φ iff Σ ∪ {¬φ} is inconsistent over D — answered
-  // by the session's own Check, so the refutation rides the skeleton and
-  // the memo.
-  XICC_ASSIGN_OR_RETURN(Constraint negated, Negate(phi));
-  ConstraintSet refutation;
-  refutation.Add(std::move(negated));
-  XICC_ASSIGN_OR_RETURN(ConsistencyResult consistency, Check(refutation));
-  ImplicationResult result;
-  result.method = "refutation";
-  result.stats = consistency.stats;
-  result.implied = !consistency.consistent;
-  if (result.implied) {
-    result.explanation =
-        "Σ ∪ {¬φ} is inconsistent over D: " + consistency.explanation;
-  } else {
-    result.explanation =
-        "Σ ∪ {¬φ} is consistent over D; the witness violates φ";
-    if (consistency.witness.has_value()) {
-      if (options_.verify_witness) {
-        XICC_RETURN_IF_ERROR(VerifyCounterexample(*consistency.witness,
-                                                  *compiled_, committed_,
-                                                  phi));
-      }
-      result.counterexample = std::move(consistency.witness);
-    }
-  }
-  return result;
+  Path path(this);
+  return DecideImplication(path, committed_, phi, options_);
 }
 
 void SpecSession::AppendConstraintRow(const Constraint& c) {
@@ -709,17 +426,13 @@ Status SpecSession::Commit(const ConstraintSet& sigma) {
   // Materialize the layer's encodable C_Σ rows below every later Check
   // checkpoint, so Checks re-push only their delta. The commit checkpoint
   // pairs with Rollback's pop. Non-encodable constraints (multi-attribute,
-  // negated inclusions) stay out: queries touching them never reach
-  // CheckDelta — they route through the fresh fallback, which ignores the
+  // negated inclusions) stay out: queries touching them never reach the
+  // Σ-delta solve — they are rejected or solved fresh, which ignores the
   // session system entirely.
   system_.PushCheckpoint();
   ConstraintSet layer = sigma.Normalize();
   for (const Constraint& c : layer.constraints()) {
-    if (!c.IsUnary()) continue;
-    if (c.kind != ConstraintKind::kKey && c.kind != ConstraintKind::kNegKey &&
-        c.kind != ConstraintKind::kInclusion) {
-      continue;
-    }
+    if (!HasSkeletonRow(c)) continue;
     std::string rendered = c.ToString();
     if (encoded_committed_.count(rendered) > 0) continue;
     AppendConstraintRow(c);
@@ -750,12 +463,7 @@ void SpecSession::Rollback() {
   encoded_committed_.clear();
   ConstraintSet remaining = committed_.Normalize();
   for (const Constraint& c : remaining.constraints()) {
-    if (!c.IsUnary()) continue;
-    if (c.kind != ConstraintKind::kKey && c.kind != ConstraintKind::kNegKey &&
-        c.kind != ConstraintKind::kInclusion) {
-      continue;
-    }
-    encoded_committed_.insert(c.ToString());
+    if (HasSkeletonRow(c)) encoded_committed_.insert(c.ToString());
   }
   warm_.base_tableau = compiled_->skeleton_tableau;
   warm_.valid = compiled_->skeleton_tableau_valid;

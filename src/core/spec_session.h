@@ -17,6 +17,8 @@
 
 namespace xicc {
 
+struct SolvedPsi;
+
 /// Everything about a DTD that consistency and implication queries reuse,
 /// compiled once and shared read-only — the systems realization of
 /// Corollary 4.11's fixed-DTD regime ("one often defines the DTD of a
@@ -69,9 +71,8 @@ struct SpecSessionStats {
   /// Queries answered by pushing only C_Σ rows onto the compiled skeleton's
   /// trail (one PushCheckpoint / append / solve / PopCheckpoint round).
   size_t sigma_delta_checks = 0;
-  /// Queries routed through the fresh CheckConsistency / CheckImplication
-  /// pipeline (negated inclusions, undecidable classes, key
-  /// counterexamples).
+  /// Solves built fresh instead of on the skeleton: the Section 5 region
+  /// system of negated inclusions, and Lemma 3.7 key counterexamples.
   size_t fresh_fallbacks = 0;
   size_t memo_hits = 0;
   size_t memo_misses = 0;
@@ -240,31 +241,22 @@ class SpecSession {
   const SpecSessionStats& stats() const { return stats_; }
 
  private:
-  enum class DeltaKind {
-    /// A linear-cell query with min_witness_nodes > 0: C_Σ = ∅, only the
-    /// size row rides the trail; method/explanations stay linear-cell.
-    kMinSizeOnly,
-    /// The NP cells (kUnaryKeyFk / kUnaryWithNegKey): full C_Σ delta.
-    kCardinality,
-  };
+  /// The session's facts and Σ-delta solver, as the shared verdict path
+  /// (core/verdict.h) consumes them; defined in spec_session.cc.
+  class Path;
 
-  /// Trail-delta solve over the session system: pushes `encoded`'s C_Σ rows
-  /// (plus the min-size row), solves warm, pops. Witnesses are verified
-  /// against `evaluate` (the full normalized set — for min-size queries in
-  /// the keys-only cell, `encoded` is empty but the keys still hold by
-  /// distinct valuation).
-  Result<ConsistencyResult> CheckDelta(const ConstraintSet& encoded,
-                                       const ConstraintSet& evaluate,
-                                       ConsistencyResult result,
-                                       DeltaKind kind);
+  /// The Σ-delta solve of Ψ(D, `encoded`): pushes `encoded`'s C_Σ rows and
+  /// the min-size row onto the session system, solves warm from the
+  /// skeleton basis, pops. The solution's variables are the skeleton's.
+  Result<SolvedPsi> SolveDelta(const ConstraintSet& encoded,
+                               const EncodingSolveOptions& solve,
+                               const ConsistencyOptions& options,
+                               ConsistencyStats* stats);
 
   /// Appends the one C_Σ row of a normalized unary key / negated key /
   /// inclusion to the session system (Lemma 4.4 shapes). The caller decides
   /// which checkpoint the row lives under.
   void AppendConstraintRow(const Constraint& c);
-
-  /// Cache plumbing around the dispatch.
-  Result<ConsistencyResult> CheckUncached(const ConstraintSet& combined);
 
   std::shared_ptr<const CompiledDtd> compiled_;
   ConsistencyOptions options_;
@@ -277,7 +269,7 @@ class SpecSession {
   ConstraintSet committed_;
   std::vector<size_t> commit_layers_;  // Size of committed_ before each layer.
   /// Normalized committed constraints whose C_Σ rows sit permanently in
-  /// system_ (rendered via ToString); CheckDelta skips re-pushing these.
+  /// system_ (rendered via ToString); Σ-delta solves skip re-pushing these.
   std::set<std::string> encoded_committed_;
 
   /// Null when memoization is off — Check then skips computing the
@@ -290,8 +282,8 @@ class SpecSession {
   /// session is not thread-safe, so neither is its tally.
   StageTally stage_tally_;
   /// Sink for no-verdict statistics (see LastPartialStats); options_'s
-  /// partial_stats pointer is re-aimed here at construction so the fresh
-  /// CheckConsistency fallback fills it too.
+  /// partial_stats pointer is re-aimed here at construction, where the
+  /// shared verdict path writes it.
   ConsistencyStats last_partial_;
   bool charged_compile_ = false;  // compile_ms reported on the first query.
 };

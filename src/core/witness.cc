@@ -344,10 +344,11 @@ Result<XmlTree> MinimalTreePlan::Build(const Dtd& dtd) const {
 
 std::map<std::pair<std::string, std::string>, std::vector<std::string>>
 PrefixValueSets(const CardinalityEncoding& encoding,
-                const IlpSolution& solution) {
+                const IlpSolution& solution,
+                const std::set<std::pair<std::string, std::string>>& pairs) {
   std::map<std::pair<std::string, std::string>, std::vector<std::string>> out;
-  for (const auto& [pair, var] : encoding.attr_var) {
-    const BigInt& count = solution.values[var];
+  for (const auto& pair : pairs) {
+    const BigInt& count = solution.values[encoding.attr_var.at(pair)];
     std::vector<std::string> values;
     if (count.FitsInt64()) {
       int64_t n = count.ToInt64();

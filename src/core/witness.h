@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,12 +70,15 @@ class MinimalTreePlan {
 };
 
 /// The Lemma 4.4 value realization for constraint sets *without* negated
-/// inclusions: every mentioned pair (τ,l) takes the first ext(τ.l) values of
+/// inclusions: every pair (τ,l) of `pairs` — the pairs Σ mentions, each with
+/// an ext(τ.l) variable in `encoding` — takes the first ext(τ.l) values of
 /// one global chain a_1, a_2, …, so ext(τ1.l1) ≤ ext(τ2.l2) materializes as
-/// prefix containment and keys as bijections.
+/// prefix containment and keys as bijections. Other attributes take fresh
+/// values in BuildWitnessTree.
 std::map<std::pair<std::string, std::string>, std::vector<std::string>>
 PrefixValueSets(const CardinalityEncoding& encoding,
-                const IlpSolution& solution);
+                const IlpSolution& solution,
+                const std::set<std::pair<std::string, std::string>>& pairs);
 
 struct WitnessOptions {
   /// Refuse to materialize witnesses above this node count.

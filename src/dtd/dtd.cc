@@ -49,7 +49,7 @@ std::vector<std::pair<std::string, std::string>> Dtd::AllAttributePairs()
 
 std::string Dtd::ToString() const {
   std::string out;
-  for (const std::string& element : elements_) {
+  auto declare = [&](const std::string& element) {
     out += "<!ELEMENT " + element + " ";
     const RegexPtr& content = content_.at(element);
     switch (content->kind()) {
@@ -83,6 +83,13 @@ std::string Dtd::ToString() const {
       }
       out += ">\n";
     }
+  };
+  // The root's declarations come first: without a <!DOCTYPE>, the parser
+  // takes the first declared element as the root, so the text names its
+  // root and ParseDtd(ToString()) round-trips.
+  declare(root_);
+  for (const std::string& element : elements_) {
+    if (element != root_) declare(element);
   }
   return out;
 }

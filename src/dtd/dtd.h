@@ -60,7 +60,9 @@ class Dtd {
   /// All (τ, l) pairs with l ∈ R(τ), in deterministic order.
   std::vector<std::pair<std::string, std::string>> AllAttributePairs() const;
 
-  /// Renders as `<!ELEMENT ...>` / `<!ATTLIST ...>` declarations.
+  /// Renders as `<!ELEMENT ...>` / `<!ATTLIST ...>` declarations, the
+  /// root's first, so ParseDtd reads the same root back and DTDs that differ
+  /// only in their root render differently.
   std::string ToString() const;
 
  private:

@@ -287,13 +287,12 @@ class SparseKernel {
 };
 
 // ---------------------------------------------------------------------------
-// Sparse overlay for the dual (warm) re-solves.
+// Sparse overlay for the dual (warm) re-solve.
 // ---------------------------------------------------------------------------
 
 /// Transient sorted nonzero-column lists over caller-owned dense Num rows —
-/// the arena working copy for the copying re-solve, the LpTableau's own rows
-/// for the in-place one (which is how the in-place variant keeps its no-copy
-/// advantage). Built once at entry for the cost of a single dense sweep,
+/// the LpTableau's own rows, which is how the re-solve avoids copying the
+/// tableau. Built once at entry for the cost of a single dense sweep,
 /// then maintained incrementally so every dual pivot touches only nonzeros.
 /// The rhs cells live outside the supports, one pointer per row.
 class SparseDualView {
@@ -871,9 +870,9 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
   return result;
 }
 
-WarmResult ReSolveLpFeasibilityDual(const LinearSystem& system,
-                                    LpTableau* tableau,
-                                    const StopSignal* stop) {
+WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
+                                           LpTableau* tableau,
+                                           const StopSignal* stop) {
   WarmResult out;
   const size_t n = system.NumVariables();
   const size_t m_new = system.NumConstraints();
@@ -881,7 +880,8 @@ WarmResult ReSolveLpFeasibilityDual(const LinearSystem& system,
   // Usability: the parent basis must be artificial-free (artificials are not
   // exported, so a row basic in one cannot be re-seeded), the variable set
   // must not have grown since the parent solve, and the parent must actually
-  // be a prefix of `system`.
+  // be a prefix of `system`. Nothing has been touched yet, so kUnusableBasis
+  // leaves the tableau intact.
   if (tableau->num_constraints > m_new) return out;
   size_t num_structural = 0;
   for (const LpColumnInfo& column : tableau->columns) {
@@ -901,177 +901,6 @@ WarmResult ReSolveLpFeasibilityDual(const LinearSystem& system,
   struct NewRow {
     size_t constraint;  // Index into system.constraints().
     int sub_sign;       // -1: s = rhs − expr; +1: s = expr − rhs.
-  };
-  std::vector<NewRow> appended;
-  for (size_t k = tableau->num_constraints; k < m_new; ++k) {
-    const RelOp op = system.constraints()[k].op;
-    if (op == RelOp::kLe || op == RelOp::kEq) appended.push_back({k, -1});
-    if (op == RelOp::kGe || op == RelOp::kEq) appended.push_back({k, 1});
-  }
-  const size_t rows = old_rows + appended.size();
-  const size_t total = old_cols + appended.size();
-
-  // The private working copy pivots in arena scratch; only the final fold-
-  // back below touches the caller's (regular-vector) tableau. Cells and rhs
-  // are separate flat blocks so the sparse overlay sees a uniform layout
-  // across both warm variants.
-  ArenaScope scratch(ThisThreadArena());
-  ArenaVector<Num> cells_block(rows * total, Num(),
-                               ArenaAllocator<Num>(&ThisThreadArena()));
-  ArenaVector<Num> rhs_block(rows, Num(),
-                             ArenaAllocator<Num>(&ThisThreadArena()));
-  SparseDualView view(rows, total);
-  std::vector<int> basis(tableau->basis.begin(), tableau->basis.end());
-  basis.reserve(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    view.Attach(i, cells_block.data() + i * total, rhs_block.data() + i);
-  }
-  for (size_t i = 0; i < old_rows; ++i) {
-    Num* cells = cells_block.data() + i * total;
-    const std::vector<Num>& src = tableau->rows[i];
-    for (size_t j = 0; j < old_cols; ++j) cells[j] = src[j];
-    rhs_block[i] = tableau->rhs[i];
-    view.BuildSupport(i);
-  }
-
-  for (size_t r = 0; r < appended.size(); ++r) {
-    const size_t row = old_rows + r;
-    const size_t slack = old_cols + r;
-    const NewRow& plan = appended[r];
-    const LinearConstraint& c = system.constraints()[plan.constraint];
-    // ≤-half: expr + s = rhs. ≥-half, negated so the surplus comes out +1:
-    // −expr + s = −rhs.
-    const int sign = plan.sub_sign < 0 ? 1 : -1;
-    Num* cells = cells_block.data() + row * total;
-    for (const auto& [var, coeff] : c.coeffs) {
-      cells[static_cast<size_t>(var)] = sign < 0 ? -coeff : coeff;
-    }
-    cells[slack] = Num(1);
-    rhs_block[row] = sign < 0 ? -c.rhs : c.rhs;
-    view.BuildSupport(row);
-    // Price out the parent's basic variables so basic columns stay unit.
-    // Parent rows carry zeros in the fresh slack columns, so elimination
-    // never spills into other appended rows.
-    for (size_t i = 0; i < old_rows; ++i) {
-      const Num factor = cells[static_cast<size_t>(basis[i])];
-      if (factor.is_zero()) continue;
-      view.Axpy(row, i, factor);
-    }
-    basis.push_back(static_cast<int>(slack));
-  }
-  out.lp.nnz_cells = view.NnzCells();
-  out.lp.total_cells = rows * total;
-  XICC_DCHECK_AUDIT(view.AuditSupports());
-
-  // Dual simplex with Bland's rule: leaving row = infeasible row whose basic
-  // column index is smallest; entering = smallest column with a negative
-  // entry in that row — the head scan of the leaving row's support. The
-  // pivot cap is a defensive backstop — tripping it reports kPivotLimit and
-  // the caller re-solves cold, so it can only cost time, never correctness.
-  const size_t pivot_cap = 200 + 16 * rows;
-  for (;;) {
-    XICC_FAULT_PROBE(kSimplexPivot);
-    if (stop != nullptr && (out.lp.pivots & 63) == 0 && stop->ShouldStop()) {
-      out.status = WarmStatus::kAborted;
-      return out;
-    }
-    int leaving = -1;
-    for (size_t i = 0; i < rows; ++i) {
-      if (rhs_block[i].sign() < 0 &&
-          (leaving < 0 || basis[i] < basis[leaving])) {
-        leaving = static_cast<int>(i);
-      }
-    }
-    if (leaving < 0) break;  // Primal feasible again.
-
-    const Num* pivot_cells =
-        cells_block.data() + static_cast<size_t>(leaving) * total;
-    size_t entering = total;
-    for (int j : view.support(static_cast<size_t>(leaving))) {
-      if (pivot_cells[static_cast<size_t>(j)].sign() < 0) {
-        entering = static_cast<size_t>(j);
-        break;
-      }
-    }
-    if (entering == total) {
-      // Certificate: Σ (nonnegative coeffs)·(nonnegative vars) = rhs < 0.
-      out.status = WarmStatus::kOk;
-      out.lp.feasible = false;
-      return out;
-    }
-    if (out.lp.pivots >= pivot_cap) {
-      out.status = WarmStatus::kPivotLimit;
-      return out;
-    }
-    ++out.lp.pivots;
-    ++out.lp.bland_pivots;
-    view.ApplyPivot(static_cast<size_t>(leaving), entering);
-    basis[leaving] = static_cast<int>(entering);
-  }
-  out.lp.fill_in = view.fill_in();
-  XICC_DCHECK_AUDIT(view.AuditSupports());
-
-  out.status = WarmStatus::kOk;
-  out.lp.feasible = true;
-  out.lp.values.assign(n, Num());
-  for (size_t i = 0; i < rows; ++i) {
-    if (static_cast<size_t>(basis[i]) < n) {
-      out.lp.values[basis[i]] = rhs_block[i];
-    }
-  }
-
-  // Fold the extended state back into `tableau` so the next warm re-solve
-  // (or a Gomory derivation) starts from here. Copies, not moves — the
-  // tableau's vectors must outlive this solve's arena scope. The supports
-  // say where the nonzeros are, so the fold-back writes only those.
-  for (const NewRow& plan : appended) {
-    tableau->columns.push_back({LpColumnInfo::Kind::kSlack,
-                                static_cast<int>(plan.constraint),
-                                plan.sub_sign});
-  }
-  tableau->basis = std::move(basis);
-  tableau->rhs.resize(rows);
-  tableau->rows.resize(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    // Num assignment deep-copies (the big tier reallocates on the heap), so
-    // nothing arena-backed escapes here. xicc-lint: allow(arena-escape)
-    tableau->rhs[i] = rhs_block[i];
-    std::vector<Num>& dst = tableau->rows[i];
-    dst.assign(total, Num());
-    const Num* cells = cells_block.data() + i * total;
-    for (int j : view.support(i)) {
-      dst[static_cast<size_t>(j)] = cells[static_cast<size_t>(j)];
-    }
-  }
-  tableau->num_constraints = m_new;
-  return out;
-}
-
-WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
-                                           LpTableau* tableau,
-                                           const StopSignal* stop) {
-  WarmResult out;
-  const size_t n = system.NumVariables();
-  const size_t m_new = system.NumConstraints();
-
-  // Usability gates identical to the copying variant; nothing has been
-  // touched yet, so kUnusableBasis leaves the tableau intact.
-  if (tableau->num_constraints > m_new) return out;
-  size_t num_structural = 0;
-  for (const LpColumnInfo& column : tableau->columns) {
-    if (column.kind == LpColumnInfo::Kind::kStructural) ++num_structural;
-  }
-  if (num_structural != n) return out;
-  for (int b : tableau->basis) {
-    if (b < 0) return out;
-  }
-
-  const size_t old_rows = tableau->rows.size();
-  const size_t old_cols = tableau->columns.size();
-
-  struct NewRow {
-    size_t constraint;
-    int sub_sign;
   };
   std::vector<NewRow> appended;
   for (size_t k = tableau->num_constraints; k < m_new; ++k) {

@@ -211,26 +211,18 @@ struct WarmResult {
 /// pivoting from the parent's dual-feasible basis instead of re-running
 /// phase-1 from scratch.
 ///
-/// On kOk, `tableau` is updated in place to cover all of `system` (and is
-/// only meaningful when `lp.feasible`); an infeasible verdict out of the
-/// dual loop is exact — the certificate row has nonnegative coefficients and
-/// a negative rhs over nonnegative variables. On kUnusableBasis/kPivotLimit
-/// the caller must fall back to SolveLpFeasibility; verdicts are identical
-/// either way, warm start only changes who does the pivoting.
-WarmResult ReSolveLpFeasibilityDual(const LinearSystem& system,
-                                    LpTableau* tableau,
-                                    const StopSignal* stop = nullptr);
-
-/// Same decision and the same basis mathematics as ReSolveLpFeasibilityDual,
-/// but pivots directly inside `tableau` instead of on a private dense copy
-/// that is folded back afterwards — the copy burst is the dominant cost of
-/// a re-solve whose appended
-/// rows need only a handful of pivots, which is exactly the Σ-delta session
-/// profile. The price is the failure contract: on kUnusableBasis the tableau
-/// is untouched, but on kPivotLimit — and on an exact kOk infeasible
-/// verdict — `*tableau` is left mid-pivot and MUST be discarded or rebuilt
-/// by a cold solve. Callers that keep their basis across failed re-solves
-/// (e.g. the presolve forced-row extension) stay on the copying variant.
+/// The pivots run directly inside `tableau`, so a re-solve whose appended
+/// rows need only a handful of pivots — the Σ-delta session profile — pays
+/// no copy. On kOk with `lp.feasible`, `tableau` covers all of `system`; an
+/// infeasible verdict out of the dual loop is exact — the certificate row
+/// has nonnegative coefficients and a negative rhs over nonnegative
+/// variables. On kUnusableBasis the tableau is untouched, but on
+/// kPivotLimit, kAborted and an infeasible kOk it is left mid-pivot and MUST
+/// be discarded or rebuilt; a caller that keeps its basis across failed
+/// re-solves (e.g. the presolve forced-row extension) re-solves a copy. On
+/// kUnusableBasis/kPivotLimit the caller falls back to SolveLpFeasibility;
+/// verdicts are identical either way, warm start only changes who does the
+/// pivoting.
 WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
                                            LpTableau* tableau,
                                            const StopSignal* stop = nullptr);

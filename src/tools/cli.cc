@@ -91,7 +91,7 @@ compiling; a miss or a corrupt file falls back to a cold compile and
 
 --stats prints the solver counters behind a verdict (system size, ILP
 nodes, warm/cold LP solves, compile-vs-query time, sigma-delta and memo
-hits). Verdict soundness itself is machine-checked separately: xicc_lint
+hits). Verdict soundness itself is machine-checked separately: xicc_analyze
 gates the source invariants (exact arithmetic, determinism, annotated
 concurrency), -DXICC_THREAD_SAFETY=ON makes clang verify the locking, and
 a -DXICC_AUDIT=ON build re-checks solver invariants at every checkpoint —

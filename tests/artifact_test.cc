@@ -23,6 +23,7 @@
 #include "core/audit.h"
 #include "core/consistency.h"
 #include "core/spec_session.h"
+#include "dtd/dtd_parser.h"
 #include "dtd/validator.h"
 #include "workloads/generators.h"
 #include "workloads/paper_examples.h"
@@ -316,6 +317,40 @@ TEST(ArtifactCacheTest, WrongSlotArtifactCannotServeForeignDtd) {
       << "a renamed artifact must never serve a foreign DTD";
   EXPECT_EQ(lookup->compiled->dtd.ToString(), chain.ToString());
   EXPECT_EQ(cache.stats().corrupt_rejected, 1u);
+}
+
+TEST(ArtifactCacheTest, DtdsDifferingOnlyInTheirRootGetTheirOwnSlots) {
+  // Same declarations, two roots. Under root a every document has two c
+  // elements, which may share an id; under root b there is only one, so the
+  // negated key cannot hold. A cache keyed without the root would serve
+  // root a's artifact for root b and answer "consistent".
+  const std::string decls =
+      "<!ELEMENT a (c, c)> <!ELEMENT b (c)> <!ELEMENT c (#PCDATA)> "
+      "<!ATTLIST c id CDATA #REQUIRED>";
+  auto root_a = ParseDtd("<!DOCTYPE a [" + decls + "]>");
+  auto root_b = ParseDtd("<!DOCTYPE b [" + decls + "]>");
+  ASSERT_TRUE(root_a.ok()) << root_a.status();
+  ASSERT_TRUE(root_b.ok()) << root_b.status();
+  EXPECT_NE(DtdContentHash(*root_a), DtdContentHash(*root_b));
+
+  ArtifactCache cache(ArtifactCache::Options{"", 4});
+  auto a = cache.GetOrCompile(*root_a);
+  ASSERT_TRUE(a.ok()) << a.status();
+  auto b = cache.GetOrCompile(*root_b);
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(b->source, ArtifactSource::kCold);
+  EXPECT_EQ(b->compiled->dtd.root(), "b");
+
+  ConstraintSet sigma;
+  sigma.Add(Constraint::NegKey("c", {"id"}));
+  SpecSession on_a(a->compiled);
+  SpecSession on_b(b->compiled);
+  auto verdict_a = on_a.Check(sigma);
+  auto verdict_b = on_b.Check(sigma);
+  ASSERT_TRUE(verdict_a.ok()) << verdict_a.status();
+  ASSERT_TRUE(verdict_b.ok()) << verdict_b.status();
+  EXPECT_TRUE(verdict_a->consistent);
+  EXPECT_FALSE(verdict_b->consistent);
 }
 
 TEST(ArtifactCacheTest, MemoryOnlyModeNeverTouchesDisk) {

@@ -363,7 +363,7 @@ TEST(SimplexTest, DualReSolveMatchesColdOnAppendedRows) {
     RelOp op = variant == 0 ? RelOp::kLe : (variant == 1 ? RelOp::kGe : RelOp::kEq);
     sys.AddConstraint(diff, op, BigInt(2));
 
-    WarmResult warm = ReSolveLpFeasibilityDual(sys, &tab);
+    WarmResult warm = ReSolveLpFeasibilityDualInPlace(sys, &tab);
     LpResult cold = SolveLpFeasibility(sys);
     ASSERT_EQ(warm.status, WarmStatus::kOk) << "variant " << variant;
     EXPECT_EQ(warm.lp.feasible, cold.feasible) << "variant " << variant;
@@ -398,7 +398,7 @@ TEST(SimplexTest, DualReSolveCertifiesInfeasibility) {
   LpTableau tab;
   ASSERT_TRUE(SolveLpFeasibility(sys, &tab).feasible);
   sys.AddConstraint(LinearExpr::Var(x), RelOp::kGe, BigInt(7));
-  WarmResult warm = ReSolveLpFeasibilityDual(sys, &tab);
+  WarmResult warm = ReSolveLpFeasibilityDualInPlace(sys, &tab);
   ASSERT_EQ(warm.status, WarmStatus::kOk);
   EXPECT_FALSE(warm.lp.feasible);
 }

@@ -1,9 +1,9 @@
-// Tests for xicc_lint's rule library (src/analysis/lint_rules.h): each rule
+// Tests for the lint rule library (src/analysis/lint_rules.h): each rule
 // on a good and a bad fixture with the exact diagnostic asserted, the
 // comment/string scanner that decides what counts as code, the suppression
 // scope, the --fix guard rewriting, the directory walker — and finally the
-// repo itself, which must be lint-clean (the same gate CI runs via the
-// xicc_lint binary).
+// repo itself, which must be lint-clean (the same gate CI runs via
+// xicc_analyze).
 
 #include <gtest/gtest.h>
 
@@ -381,7 +381,7 @@ TEST(RunLintTest, WalksFixesAndReports) {
   std::filesystem::remove_all(root);
 }
 
-// The gate CI enforces with the xicc_lint binary, kept in the unit suite so
+// The gate CI enforces with xicc_analyze, kept in the unit suite so
 // a plain ctest run catches a violation without the separate tool step.
 TEST(RunLintTest, RepositoryIsLintClean) {
 #ifdef XICC_SOURCE_DIR

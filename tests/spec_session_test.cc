@@ -2,9 +2,10 @@
 // the session answers every query by pushing C_Σ rows onto the compiled
 // skeleton's trail with a warm-started dual simplex, so the cheap thing to
 // get wrong is exactly the verdict. Every test here runs the same (D, Σ)
-// through both paths and requires identical verdicts, classes, and methods;
-// witnesses may differ byte-wise (a different LP vertex realizes a
-// different tree) but must independently check out against D and Σ.
+// through both paths and requires identical verdicts, classes, methods and
+// explanations; witnesses may differ byte-wise (a different LP vertex
+// realizes a different tree) but must independently check out against D
+// and Σ.
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,7 @@ void ExpectSameVerdict(const Dtd& dtd, SpecSession& session,
       << "', session says '" << via_session->explanation << "'";
   EXPECT_EQ(fresh->constraint_class, via_session->constraint_class) << label;
   EXPECT_EQ(fresh->method, via_session->method) << label;
+  EXPECT_EQ(fresh->explanation, via_session->explanation) << label;
   EXPECT_EQ(fresh->witness.has_value(), via_session->witness.has_value())
       << label;
   if (via_session->witness.has_value()) {
@@ -166,6 +168,26 @@ TEST(SpecSessionDifferentialTest, MinWitnessNodesParity) {
   // NP cell with the same bound.
   ExpectSameVerdict(dtd, session, workloads::CatalogFkChainSigma(2), options,
                     "min-size fk chain");
+
+  // Every document of r → e1 → e2 → e3 has four elements, so the bound is
+  // out of reach; both paths must say so in the same words, in the linear
+  // cell and in the NP cell.
+  Dtd chain = workloads::ChainDtd(3);
+  auto compiled_chain = CompileDtd(chain);
+  ASSERT_TRUE(compiled_chain.ok());
+  SpecSession chain_session(*compiled_chain, options);
+  ConstraintSet chain_keys = workloads::AllKeysSigma(chain);
+  ExpectSameVerdict(chain, chain_session, chain_keys, options,
+                    "min-size out of reach, keys-only");
+  auto too_large = chain_session.Check(chain_keys);
+  ASSERT_TRUE(too_large.ok());
+  EXPECT_FALSE(too_large->consistent);
+  EXPECT_EQ(too_large->explanation,
+            "the DTD admits no document with the requested minimum size");
+  ConstraintSet chain_fk;
+  chain_fk.Add(Constraint::ForeignKey("e1", {"id"}, "e2", {"id"}));
+  ExpectSameVerdict(chain, chain_session, chain_fk, options,
+                    "min-size out of reach, fk");
 }
 
 TEST(SpecSessionTest, MemoHitsAndEviction) {
@@ -266,6 +288,8 @@ TEST(SpecSessionTest, ImpliesMatchesFreshImplication) {
     ASSERT_TRUE(fresh.ok()) << fresh.status();
     ASSERT_TRUE(via_session.ok()) << via_session.status();
     EXPECT_EQ(fresh->implied, via_session->implied) << phi.ToString();
+    EXPECT_EQ(fresh->method, via_session->method) << phi.ToString();
+    EXPECT_EQ(fresh->explanation, via_session->explanation) << phi.ToString();
     if (via_session->counterexample.has_value()) {
       // Counterexamples satisfy Σ and violate φ.
       EXPECT_TRUE(ValidateXml(*via_session->counterexample, dtd).valid);
@@ -286,8 +310,13 @@ TEST(SpecSessionTest, KeysOnlyImplicationLemma37) {
   ASSERT_TRUE(session.Commit(keys).ok());
 
   auto stated = session.Implies(Constraint::Key("teacher", {"name"}));
+  auto fresh_stated =
+      CheckImplication(dtd, keys, Constraint::Key("teacher", {"name"}));
   ASSERT_TRUE(stated.ok());
+  ASSERT_TRUE(fresh_stated.ok());
   EXPECT_TRUE(stated->implied);
+  EXPECT_EQ(fresh_stated->method, stated->method);
+  EXPECT_EQ(fresh_stated->explanation, stated->explanation);
 
   auto unstated = session.Implies(Constraint::Key("subject", {"taught_by"}));
   auto fresh =
@@ -295,6 +324,8 @@ TEST(SpecSessionTest, KeysOnlyImplicationLemma37) {
   ASSERT_TRUE(unstated.ok());
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->implied, unstated->implied);
+  EXPECT_EQ(fresh->method, unstated->method);
+  EXPECT_EQ(fresh->explanation, unstated->explanation);
   EXPECT_EQ(unstated->counterexample.has_value(),
             fresh->counterexample.has_value());
 }

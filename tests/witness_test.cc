@@ -91,13 +91,14 @@ TEST(WitnessTest, PrefixValueSetsArePrefixes) {
   ConstraintSet sigma;
   sigma.Add(Constraint::Inclusion("teacher", {"name"}, "subject",
                                   {"taught_by"}));
-  auto enc = BuildCardinalityEncoding(d1, sigma.Normalize());
+  ConstraintSet normalized = sigma.Normalize();
+  auto enc = BuildCardinalityEncoding(d1, normalized);
   ASSERT_TRUE(enc.ok());
   EncodingSolveOptions options;
   auto solved = SolveEncodingSystem(*enc, enc->system, options);
   ASSERT_TRUE(solved.ok());
   ASSERT_TRUE(solved->feasible);
-  auto sets = PrefixValueSets(*enc, *solved);
+  auto sets = PrefixValueSets(*enc, *solved, MentionedPairs(normalized));
   ASSERT_EQ(sets.size(), 2u);
   const auto& teacher_set = sets.at({"teacher", "name"});
   const auto& subject_set = sets.at({"subject", "taught_by"});
