@@ -314,11 +314,13 @@ void RunMultiDtdBatch(bench::JsonReport& report) {
 void RunDeadlineDegradation(bench::JsonReport& report) {
   bench::Header("degraded batch: 50 ms per-item deadline over a spiked mix");
   // The mix: feasible Σ's plus one deliberately exploding multi-split LIP
-  // encoding (hundreds of ms unrestrained). Under a 50 ms per-item deadline
-  // the batch must quarantine the spike and finish everything else — CI's
-  // bench-smoke gates on the wall clock staying under 2 s.
+  // encoding (hundreds of ms unrestrained: 32×64 searches 163 nodes in
+  // ≈0.5 s on a 4-core x86 box, while 12×24 now fits the 200 ms retry).
+  // Under a 50 ms per-item deadline the batch must quarantine the spike and
+  // finish everything else — CI's bench-smoke gates on the wall clock
+  // staying under 2 s.
   workloads::LipEncoding spike = workloads::EncodeLipAsConsistency(
-      workloads::RandomLip(/*seed=*/3, /*rows=*/12, /*cols=*/24,
+      workloads::RandomLip(/*seed=*/3, /*rows=*/32, /*cols=*/64,
                            /*ones_per_row=*/3));
   auto compiled = CompileDtd(spike.dtd);
   if (!compiled.ok()) std::abort();

@@ -153,27 +153,24 @@ Result<NumFlatView> ReadNumFlat(serde::Cursor& cursor,
   return view;
 }
 
-// Decodes `count` slots starting at flat index `base` into `out` (appends;
-// caller reserves). The d > 0 fast path is the whole cost of a warm tableau
-// load, so it stays branch-lean: one comparison pair per slot.
-Status AppendNumSlots(const NumFlatView& view, size_t base, size_t count,
-                      std::vector<Num>* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const RawNum& slot = view.raw[base + i];
-    if (slot.d > 0 && slot.n != INT64_MIN) {
-      out->push_back(Num::FromCanonicalWords(slot.n, slot.d));
-      continue;
-    }
-    if (slot.d != 0) {
-      return Status::InvalidArgument("artifact Num words are not canonical");
-    }
-    auto it = view.escapes.find(base + i);
-    if (it == view.escapes.end()) {
-      return Status::InvalidArgument(
-          "artifact Num escape missing for flat slot");
-    }
-    out->push_back(it->second);
+// Decodes flat slot `index` into `*out`. The d > 0 fast path is the whole
+// cost of a warm tableau load, so it stays branch-lean: one comparison pair
+// per slot.
+Status DecodeNumSlot(const NumFlatView& view, size_t index, Num* out) {
+  const RawNum& slot = view.raw[index];
+  if (slot.d > 0 && slot.n != INT64_MIN) {
+    *out = Num::FromCanonicalWords(slot.n, slot.d);
+    return Status::Ok();
   }
+  if (slot.d != 0) {
+    return Status::InvalidArgument("artifact Num words are not canonical");
+  }
+  auto it = view.escapes.find(index);
+  if (it == view.escapes.end()) {
+    return Status::InvalidArgument(
+        "artifact Num escape missing for flat slot");
+  }
+  *out = it->second;
   return Status::Ok();
 }
 
@@ -181,9 +178,10 @@ Result<std::vector<Num>> ReadNumArray(serde::Cursor& cursor,
                                       int64_t expected_count) {
   XICC_ASSIGN_OR_RETURN(NumFlatView view,
                         ReadNumFlat(cursor, expected_count));
-  std::vector<Num> out;
-  out.reserve(view.count);
-  XICC_RETURN_IF_ERROR(AppendNumSlots(view, 0, view.count, &out));
+  std::vector<Num> out(view.count);
+  for (size_t i = 0; i < view.count; ++i) {
+    XICC_RETURN_IF_ERROR(DecodeNumSlot(view, i, &out[i]));
+  }
   return out;
 }
 
@@ -710,12 +708,20 @@ Status WriteTableau(serde::Writer& w, const LpTableau& tableau) {
   for (const Num& value : tableau.rhs) rhs.Append(value);
   WriteNumArray(w, rhs);
 
+  // The section stays dense (format v1): every row writes one cell per
+  // column, zeros included.
   NumArrayEnc cells;
-  for (const std::vector<Num>& row : tableau.rows) {
-    if (row.size() != cols) {
+  const Num zero;
+  for (const LpRow& row : tableau.rows) {
+    size_t k = 0;
+    for (size_t c = 0; c < cols; ++c) {
+      const bool listed =
+          k < row.size() && row.cols[k] == static_cast<int>(c);
+      cells.Append(listed ? row.vals[k++] : zero);
+    }
+    if (k != row.size() || row.cols.size() != row.vals.size()) {
       return Status::Internal("tableau row width skew at serialization");
     }
-    for (const Num& value : row) cells.Append(value);
   }
   WriteNumArray(w, cells);
   return Status::Ok();
@@ -766,19 +772,23 @@ Result<LpTableau> ReadTableau(serde::Cursor& cursor) {
   XICC_ASSIGN_OR_RETURN(tableau.rhs,
                         ReadNumArray(cursor,
                                      static_cast<int64_t>(row_count)));
-  // Cells decode straight from the flat block into the row-major tableau —
-  // no intermediate vector, no second pass of Num moves. This loop is the
+  // Cells decode straight from the dense flat block into sparse rows: every
+  // slot is validated, and only the nonzeros are kept. This loop is the
   // bulk of a warm load on bench-sized DTDs.
   XICC_ASSIGN_OR_RETURN(
       NumFlatView cells,
       ReadNumFlat(cursor, static_cast<int64_t>(row_count * col_count)));
-  tableau.rows.reserve(row_count);
+  tableau.rows.resize(row_count);
   for (uint64_t r = 0; r < row_count; ++r) {
-    std::vector<Num> row;
-    row.reserve(col_count);
-    XICC_RETURN_IF_ERROR(
-        AppendNumSlots(cells, r * col_count, col_count, &row));
-    tableau.rows.push_back(std::move(row));
+    LpRow& row = tableau.rows[r];
+    for (size_t c = 0; c < col_count; ++c) {
+      const size_t slot = r * col_count + c;
+      const RawNum& raw = cells.raw[slot];
+      if (raw.n == 0 && raw.d == 1) continue;  // Canonical zero.
+      Num value;
+      XICC_RETURN_IF_ERROR(DecodeNumSlot(cells, slot, &value));
+      if (!value.is_zero()) row.Append(static_cast<int>(c), std::move(value));
+    }
   }
   return tableau;
 }

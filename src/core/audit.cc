@@ -58,10 +58,21 @@ uint64_t CompiledDtdDigest(const CompiledDtd& compiled) {
   d.U64(tab.basis.size());
   for (int b : tab.basis) d.U64(static_cast<uint64_t>(static_cast<int64_t>(b)));
   for (const Num& r : tab.rhs) d.Str(r.ToString());
-  for (const std::vector<Num>& row : tab.rows) {
-    for (const Num& r : row) {
-      if (!r.is_zero()) d.Str(r.ToString());
-      d.U64(r.is_zero() ? 0 : 1);
+  // Rows fold in densely, one mark per column (and the value of each
+  // nonzero), so the digest does not depend on how rows are stored. Cells a
+  // well-formed row cannot hold — out of order or past the width — still
+  // fold in afterwards, so writing one through the artifact is caught too.
+  for (const LpRow& row : tab.rows) {
+    size_t k = 0;
+    for (size_t c = 0; c < tab.columns.size(); ++c) {
+      const bool listed =
+          k < row.size() && row.cols[k] == static_cast<int>(c);
+      if (listed) d.Str(row.vals[k++].ToString());
+      d.U64(listed ? 1 : 0);
+    }
+    for (; k < row.size(); ++k) {
+      d.U64(static_cast<uint64_t>(static_cast<int64_t>(row.cols[k])));
+      d.Str(row.vals[k].ToString());
     }
   }
 

@@ -70,8 +70,11 @@ class SplitWorker {
     }
 
     // LP pruning: if even the relaxation (ignoring unresolved conditionals)
-    // is infeasible, no resolution below can succeed.
-    LpTableau tab;
+    // is infeasible, no resolution below can succeed. The node's tableau
+    // comes from the worker's free list, so the copy of the parent reuses
+    // the row buffers of an earlier node at this depth.
+    LpTableauPool::Lease lease(&tableau_pool_);
+    LpTableau& tab = *lease.get();
     bool have_tab = false;
     if (parent != nullptr && shared_->options.warm_start) {
       tab = *parent;
@@ -106,6 +109,7 @@ class SplitWorker {
       // `system`, so plain integer feasibility decides this leaf — its root
       // LP warm-seeded from the pruning basis just computed.
       IlpOptions leaf_options = shared_->options;
+      leaf_options.root_scratch = &leaf_root_scratch_;
       IlpSolution leaf_partial;
       leaf_options.partial = &leaf_partial;
       Result<IlpSolution> leaf = SolveIlp(*system_, leaf_options, &tab);
@@ -188,6 +192,10 @@ class SplitWorker {
 
   SearchShared* shared_;
   LinearSystem* system_;
+  /// Worker-private, so pool threads never share them: the node tableaux
+  /// and the scratch each leaf's root copies its warm hint into.
+  LpTableauPool tableau_pool_;
+  LpTableau leaf_root_scratch_;
 };
 
 class CaseSplitSolver {
@@ -235,7 +243,7 @@ class CaseSplitSolver {
       LpResult lp = SolveLpFeasibility(*work_, &base_tab, stop_);
       pivots_ += lp.pivots;
       kernel_.Add(lp);
-      if (lp.aborted) return NoVerdict(stop_->ToStatus(), nullptr, start);
+      if (lp.aborted) return NoVerdict(StopStatus(), nullptr, start);
       if (!lp.feasible) return AssembleInfeasible(start);
       tab_ok = true;
       base_ro = &base_tab;
@@ -291,13 +299,13 @@ class CaseSplitSolver {
     // warm from the base basis.
     for (const Conditional& cond : conditionals_) {
       if (stop_ != nullptr && stop_->ShouldStop()) {
-        return NoVerdict(stop_->ToStatus(), nullptr, start);
+        return NoVerdict(StopStatus(), nullptr, start);
       }
       work_->PushCheckpoint();
       work_->AddConstraint(cond.premise, RelOp::kEq, BigInt(0));
       bool premise_can_vanish = ProbeLp(base_tab, tab_ok);
       work_->PopCheckpoint();
-      if (stopped_) return NoVerdict(stop_->ToStatus(), nullptr, start);
+      if (stopped_) return NoVerdict(StopStatus(), nullptr, start);
       if (premise_can_vanish) {
         active_.push_back(cond);
         continue;
@@ -308,20 +316,21 @@ class CaseSplitSolver {
         // probes and the DFS root stay warm. The re-solve runs on a copy,
         // adopted only when it ends feasible; on any other outcome the basis
         // keeps covering its old prefix (still a valid warm seed).
-        LpTableau extended = base_tab;
+        scratch_tab_ = base_tab;
         WarmResult warm =
-            ReSolveLpFeasibilityDualInPlace(*work_, &extended, stop_);
+            ReSolveLpFeasibilityDualInPlace(*work_, &scratch_tab_, stop_);
         pivots_ += warm.lp.pivots;
         kernel_.Add(warm.lp);
         if (warm.status == WarmStatus::kAborted) {
-          return NoVerdict(stop_->ToStatus(), nullptr, start);
+          return NoVerdict(StopStatus(), nullptr, start);
         }
         if (warm.status == WarmStatus::kOk) {
           ++warm_starts_;
           // Forced conclusions hold in every solution satisfying the
           // conditionals, so their joint infeasibility settles the verdict.
           if (!warm.lp.feasible) return AssembleInfeasible(start);
-          base_tab = std::move(extended);
+          // A swap keeps the old basis's buffers for the next copy.
+          std::swap(base_tab, scratch_tab_);
         }
       }
     }
@@ -333,8 +342,8 @@ class CaseSplitSolver {
     shared.options = options_;
     shared.stop = stop_;
     // DFS leaf solves may run on pool threads — a shared scratch or a shared
-    // partial sink would race; workers keep private ones.
-    shared.options.root_scratch = nullptr;
+    // partial sink would race; workers keep private ones (SplitWorker sets
+    // its own root scratch).
     shared.options.partial = nullptr;
     RunSearch(&base_tab, tab_ok, &shared);
     XICC_DCHECK_AUDIT(AuditTrail(*work_));
@@ -358,11 +367,7 @@ class CaseSplitSolver {
       Status status;
       {
         MutexLock lock(&shared.mu);
-        status = !shared.error.ok()
-                     ? shared.error
-                     : (stop_ != nullptr
-                            ? stop_->ToStatus()
-                            : Status::Cancelled("case-split was stopped"));
+        status = !shared.error.ok() ? shared.error : StopStatus();
       }
       return NoVerdict(status, &shared, start);
     }
@@ -384,6 +389,14 @@ class CaseSplitSolver {
         .count();
   }
 
+  /// Why a stopped solve has no verdict. An LP can abort without a stop
+  /// signal (LpPricingConfig::pivot_cap); with no signal to ask, the status
+  /// is kCancelled, as in BranchAndBound::Run.
+  Status StopStatus() const {
+    return stop_ != nullptr ? stop_->ToStatus()
+                            : Status::Cancelled("case-split was stopped");
+  }
+
   void Accumulate(const IlpSolution& partial) {
     nodes_ += partial.nodes_explored;
     pivots_ += partial.lp_pivots;
@@ -398,8 +411,9 @@ class CaseSplitSolver {
   /// usable; used by the presolve probes (verdict only, no tableau kept).
   bool ProbeLp(const LpTableau& base_tab, bool tab_ok) {
     if (tab_ok && options_.warm_start) {
-      LpTableau probe = base_tab;
-      WarmResult warm = ReSolveLpFeasibilityDualInPlace(*work_, &probe, stop_);
+      scratch_tab_ = base_tab;
+      WarmResult warm =
+          ReSolveLpFeasibilityDualInPlace(*work_, &scratch_tab_, stop_);
       pivots_ += warm.lp.pivots;
       kernel_.Add(warm.lp);
       if (warm.status == WarmStatus::kAborted) {
@@ -609,9 +623,12 @@ class CaseSplitSolver {
   CaseSplitWarmContext* warm_;
   /// Non-null iff options_.stop is armed; points into options_.
   const StopSignal* stop_ = nullptr;
-  /// Set when a presolve-phase LP solve was aborted by the stop signal
-  /// (ProbeLp cannot return the fact any other way).
+  /// Set when a presolve-phase LP solve was aborted — by the stop signal or
+  /// the pivot cap (ProbeLp cannot return the fact any other way).
   bool stopped_ = false;
+  /// What presolve's probes and forced-row extensions re-solve: a copy of
+  /// the working basis, into buffers kept from the previous copy.
+  LpTableau scratch_tab_;
 
   // Statistics accumulated outside the DFS (optimistic leaf, presolve) and
   // flushed from workers after it.

@@ -22,15 +22,17 @@ struct Conditional {
 /// the SAME base system with a growing conditional set — the shape of the
 /// lazy connectivity-cut loop in SolveEncodingSystem. The base LP is solved
 /// cold exactly once; every later round's presolve probes and DFS root
-/// re-solve warm from this basis.
+/// re-solve warm from this basis. Its rows are sparse, so each copy taken
+/// from it costs O(rows + nnz), and copies into these members reuse their
+/// row buffers.
 struct CaseSplitWarmContext {
   LpTableau base_tableau;
   bool valid = false;
   /// Scratch the optimistic-leaf solve's root node copies `base_tableau`
-  /// into (see IlpOptions::root_scratch). Lives here so its vector capacity
-  /// persists across the context's many solves; never touched by the
-  /// parallel DFS workers, so single-ownership follows from the context's
-  /// own one-thread contract.
+  /// into (see IlpOptions::root_scratch). Lives here so its row buffers
+  /// persist across the context's many solves; never touched by the
+  /// parallel DFS workers (each keeps its own), so single-ownership follows
+  /// from the context's own one-thread contract.
   LpTableau root_scratch;
 };
 

@@ -116,14 +116,14 @@ std::vector<std::string> AuditTableau(const LinearSystem& system,
     }
   }
 
+  const std::vector<std::string> row_violations = AuditTableauRows(tableau);
+  if (!row_violations.empty()) {
+    out.insert(out.end(), row_violations.begin(), row_violations.end());
+    return out;  // The unit-column walk below assumes well-formed rows.
+  }
+
   std::vector<int> basic_in(cols, -1);
   for (size_t i = 0; i < m; ++i) {
-    if (tableau.rows[i].size() != cols) {
-      out.push_back("row " + std::to_string(i) + " has " +
-                    std::to_string(tableau.rows[i].size()) +
-                    " cells for " + std::to_string(cols) + " columns");
-      return out;
-    }
     const int b = tableau.basis[i];
     if (b >= static_cast<int>(cols)) {
       out.push_back("basis entry " + std::to_string(i) +
@@ -150,21 +150,29 @@ std::vector<std::string> AuditTableau(const LinearSystem& system,
 
   // Unit-column property: a basic column carries 1 in its own row and 0
   // everywhere else — the algebraic core of "x_B = rhs − Σ nonbasic terms".
+  // One pass over the stored cells; a basic column whose own-row cell is
+  // never met is absent, i.e. zero.
   const Num one(1);
-  for (size_t j = 0; j < cols; ++j) {
-    if (basic_in[j] < 0) continue;
-    for (size_t i = 0; i < m; ++i) {
-      const Num& cell = tableau.rows[i][j];
-      if (i == static_cast<size_t>(basic_in[j])) {
-        if (!(cell == one)) {
-          out.push_back("basic column " + std::to_string(j) +
-                        " is not unit in its own row " + std::to_string(i));
-        }
-      } else if (!cell.is_zero()) {
+  std::vector<bool> unit_seen(cols, false);
+  for (size_t i = 0; i < m; ++i) {
+    const LpRow& row = tableau.rows[i];
+    for (size_t k = 0; k < row.size(); ++k) {
+      const size_t j = static_cast<size_t>(row.cols[k]);
+      if (basic_in[j] < 0) continue;
+      if (i != static_cast<size_t>(basic_in[j])) {
         out.push_back("basic column " + std::to_string(j) +
                       " has a nonzero entry outside its row, at " +
                       RowCol(i, j));
+      } else if (row.vals[k] == one) {
+        unit_seen[j] = true;
       }
+    }
+  }
+  for (size_t j = 0; j < cols; ++j) {
+    if (basic_in[j] >= 0 && !unit_seen[j]) {
+      out.push_back("basic column " + std::to_string(j) +
+                    " is not unit in its own row " +
+                    std::to_string(basic_in[j]));
     }
   }
 
@@ -174,8 +182,43 @@ std::vector<std::string> AuditTableau(const LinearSystem& system,
                     " (an infeasible re-solve leaked into a kept tableau)");
     }
     CheckCell(tableau.rhs[i], "rhs of row " + std::to_string(i), &out);
-    for (size_t j = 0; j < cols; ++j) {
-      CheckCell(tableau.rows[i][j], RowCol(i, j), &out);
+    const LpRow& row = tableau.rows[i];
+    for (size_t k = 0; k < row.size(); ++k) {
+      CheckCell(row.vals[k], RowCol(i, static_cast<size_t>(row.cols[k])),
+                &out);
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> AuditTableauRows(const LpTableau& tableau) {
+  std::vector<std::string> out;
+  const size_t width = tableau.columns.size();
+  for (size_t i = 0; i < tableau.rows.size(); ++i) {
+    const LpRow& row = tableau.rows[i];
+    if (row.cols.size() != row.vals.size()) {
+      out.push_back("row " + std::to_string(i) + " lists " +
+                    std::to_string(row.cols.size()) + " columns for " +
+                    std::to_string(row.vals.size()) + " cells");
+      continue;
+    }
+    int prev = -1;
+    for (size_t k = 0; k < row.size(); ++k) {
+      const int j = row.cols[k];
+      if (j < 0 || static_cast<size_t>(j) >= width) {
+        out.push_back("row " + std::to_string(i) + " lists column " +
+                      std::to_string(j) + " outside width " +
+                      std::to_string(width));
+      } else if (j <= prev) {
+        out.push_back("row " + std::to_string(i) +
+                      " columns are not strictly increasing at column " +
+                      std::to_string(j));
+      }
+      prev = j;
+      if (row.vals[k].is_zero()) {
+        out.push_back("stored zero at " +
+                      RowCol(i, static_cast<size_t>(j)));
+      }
     }
   }
   return out;

@@ -31,6 +31,7 @@ std::vector<std::string> AuditTrail(
 ///  - the tableau covers a row prefix of `system` and no unknown variables;
 ///  - column metadata is well formed (structural ids in range, slack rows in
 ///    range with a ±1 substitution sign);
+///  - every row is a well-formed sparse row (AuditTableauRows below);
 ///  - the basis is a valid simplex basis (each basic column is a unit
 ///    column; no column basic in two rows; artificial-basic rows are
 ///    degenerate);
@@ -43,6 +44,12 @@ std::vector<std::string> AuditTrail(
 ///    into a pivot.
 std::vector<std::string> AuditTableau(const LinearSystem& system,
                                       const LpTableau& tableau);
+
+/// The sparse-row invariants alone, which hold mid-re-solve too (when rhs
+/// cells may still be negative): each row lists as many columns as cells,
+/// its columns are strictly increasing and inside the tableau's width, and
+/// it stores no zero.
+std::vector<std::string> AuditTableauRows(const LpTableau& tableau);
 
 /// Fast-lane recomputation — the XICC_NUM_AUDIT twin for the sparse kernel's
 /// structure-of-arrays small-word lane: redo a/b ∘ c/d (`op` is '*' or '+')

@@ -1,5 +1,6 @@
 #include "ilp/simplex.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 #include <vector>
@@ -287,116 +288,109 @@ class SparseKernel {
 };
 
 // ---------------------------------------------------------------------------
-// Sparse overlay for the dual (warm) re-solve.
+// Sparse-row pivoting for the dual (warm) re-solve.
 // ---------------------------------------------------------------------------
 
-/// Transient sorted nonzero-column lists over caller-owned dense Num rows —
-/// the LpTableau's own rows, which is how the re-solve avoids copying the
-/// tableau. Built once at entry for the cost of a single dense sweep,
-/// then maintained incrementally so every dual pivot touches only nonzeros.
-/// The rhs cells live outside the supports, one pointer per row.
-class SparseDualView {
- public:
-  SparseDualView(size_t rows, size_t width)
-      : width_(width), rows_(rows), rhs_(rows), support_(rows) {}
-
-  void Attach(size_t i, Num* cells, Num* rhs) {
-    rows_[i] = cells;
-    rhs_[i] = rhs;
-  }
-
-  /// Dense sweep building row i's support from scratch.
-  void BuildSupport(size_t i) {
-    std::vector<int>& sup = support_[i];
-    sup.clear();
-    const Num* cells = rows_[i];
-    for (size_t j = 0; j < width_; ++j) {
-      if (!cells[j].is_zero()) sup.push_back(static_cast<int>(j));
-    }
-  }
-
-  const std::vector<int>& support(size_t i) const { return support_[i]; }
-  size_t fill_in() const { return fill_in_; }
-  size_t NnzCells() const {
-    size_t nnz = 0;
-    for (const std::vector<int>& sup : support_) nnz += sup.size();
-    return nnz;
-  }
-
-  /// target -= factor · source over source's support (+ rhs), merging
-  /// supports incrementally.
-  void Axpy(size_t target, size_t source, const Num& factor) {
-    Num* t = rows_[target];
-    const Num* s = rows_[source];
-    for (int j : support_[source]) {
-      t[static_cast<size_t>(j)] -= factor * s[static_cast<size_t>(j)];
-    }
-    if (!rhs_[source]->is_zero()) *rhs_[target] -= factor * *rhs_[source];
-    Merge(target, source);
-  }
-
-  /// Normalizes the leaving row by its pivot cell and eliminates column
-  /// `entering` from every other row. The caller updates the basis.
-  void ApplyPivot(size_t leaving, size_t entering) {
-    Num* p = rows_[leaving];
-    const Num pivot = p[entering];
-    for (int j : support_[leaving]) {
-      p[static_cast<size_t>(j)] /= pivot;  // Support cells are nonzero.
-    }
-    if (!rhs_[leaving]->is_zero()) *rhs_[leaving] /= pivot;
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (i == leaving) continue;
-      const Num factor = rows_[i][entering];
-      if (factor.is_zero()) continue;
-      Axpy(i, leaving, factor);
-    }
-  }
-
-  /// Support invariants of every attached row, for XICC_DCHECK_AUDIT.
-  std::vector<std::string> AuditSupports() const {
-    std::vector<std::string> out;
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      const std::vector<Num> dense(rows_[i], rows_[i] + width_);
-      std::vector<std::string> row_out =
-          AuditRowSupport(dense, width_, support_[i], i);
-      out.insert(out.end(), row_out.begin(), row_out.end());
-    }
-    return out;
-  }
-
- private:
-  void Merge(size_t target, size_t source) {
-    const std::vector<int>& a = support_[target];
-    const std::vector<int>& b = support_[source];
-    const Num* cells = rows_[target];
-    merge_scratch_.clear();
-    size_t x = 0;
-    size_t y = 0;
-    while (x < a.size() || y < b.size()) {
-      if (y >= b.size() || (x < a.size() && a[x] < b[y])) {
-        merge_scratch_.push_back(a[x++]);
-        continue;
-      }
-      const bool fresh = x >= a.size() || a[x] > b[y];
-      const int col = b[y++];
-      if (!fresh) ++x;
-      if (!cells[static_cast<size_t>(col)].is_zero()) {
-        merge_scratch_.push_back(col);
-        if (fresh) ++fill_in_;
-      }
-    }
-    support_[target].swap(merge_scratch_);
-  }
-
-  size_t width_;
-  std::vector<Num*> rows_;
-  std::vector<Num*> rhs_;
-  std::vector<std::vector<int>> support_;
-  std::vector<int> merge_scratch_;
-  size_t fill_in_ = 0;
+/// The warm re-solve's per-thread scratch, kept across calls so it stops
+/// allocating once grown.
+struct DualScratch {
+  /// RowAxpy's merge target. It is swapped with the row it rebuilds, so row
+  /// buffers circulate between a tableau and this scratch instead of being
+  /// reallocated per elimination.
+  LpRow merged;
+  /// Price-out: the parent row each column is basic in (-1: nonbasic), and
+  /// the parent rows one appended row must be eliminated against.
+  std::vector<int> basic_row;
+  std::vector<int> pending;
 };
+thread_local DualScratch g_dual_scratch;
+
+/// target -= factor · source over the two rows' nonzeros (a two-pointer
+/// merge), and target_rhs -= factor · source_rhs. Cells that cancel to zero
+/// drop out; cells only `source` listed that come out nonzero are fill-in.
+void RowAxpy(LpRow* target, Num* target_rhs, const LpRow& source,
+             const Num& source_rhs, const Num& factor, size_t* fill_in) {
+  LpRow& out = g_dual_scratch.merged;
+  out.clear();
+  const size_t a = target->size();
+  const size_t b = source.size();
+  size_t x = 0;
+  size_t y = 0;
+  while (x < a || y < b) {
+    if (y >= b || (x < a && target->cols[x] < source.cols[y])) {
+      out.Append(target->cols[x], std::move(target->vals[x]));
+      ++x;
+      continue;
+    }
+    const int col = source.cols[y];
+    const bool fresh = x >= a || target->cols[x] > col;
+    Num value;
+    if (fresh) {
+      value = -(factor * source.vals[y]);
+    } else {
+      value = std::move(target->vals[x]);
+      value -= factor * source.vals[y];
+      ++x;
+    }
+    ++y;
+    if (value.is_zero()) continue;
+    if (fresh) ++*fill_in;
+    out.Append(col, std::move(value));
+  }
+  std::swap(*target, out);
+  if (!source_rhs.is_zero()) *target_rhs -= factor * source_rhs;
+}
+
+/// One dual pivot inside `tab`: normalizes row `leaving` by its cell
+/// `vals[k]` and eliminates that cell's column from every other row. The
+/// caller updates the basis.
+void PivotRows(LpTableau* tab, size_t leaving, size_t k, size_t* fill_in) {
+  LpRow& p = tab->rows[leaving];
+  const int entering = p.cols[k];
+  const Num pivot = p.vals[k];
+  for (Num& cell : p.vals) cell /= pivot;  // Listed cells are nonzero.
+  Num& p_rhs = tab->rhs[leaving];
+  if (!p_rhs.is_zero()) p_rhs /= pivot;
+  for (size_t i = 0; i < tab->rows.size(); ++i) {
+    if (i == leaving) continue;
+    const Num* cell = tab->rows[i].Find(entering);
+    if (cell == nullptr) continue;
+    const Num factor = *cell;
+    RowAxpy(&tab->rows[i], &tab->rhs[i], p, p_rhs, factor, fill_in);
+  }
+}
 
 }  // namespace
+
+const Num* LpRow::Find(int col) const {
+  const auto it = std::lower_bound(cols.begin(), cols.end(), col);
+  if (it == cols.end() || *it != col) return nullptr;
+  return &vals[static_cast<size_t>(it - cols.begin())];
+}
+
+LpTableau& LpTableau::operator=(const LpTableau& other) {
+  if (this == &other) return *this;
+  columns = other.columns;
+  basis = other.basis;
+  rhs = other.rhs;
+  num_constraints = other.num_constraints;
+  // resize() moves the rows it keeps when it reallocates, so their buffers
+  // survive; the per-row copies below then reuse them.
+  rows.resize(other.rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = other.rows[i];
+  return *this;
+}
+
+LpTableauPool::Lease::Lease(LpTableauPool* pool) : pool_(pool) {
+  if (pool_->free_.empty()) {
+    tab_ = std::make_unique<LpTableau>();
+  } else {
+    tab_ = std::move(pool_->free_.back());
+    pool_->free_.pop_back();
+  }
+}
+
+LpTableauPool::Lease::~Lease() { pool_->free_.push_back(std::move(tab_)); }
 
 LpPricingConfig GetLpPricingConfig() { return g_lp_pricing_config; }
 void SetLpPricingConfig(const LpPricingConfig& config) {
@@ -647,7 +641,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
   if (tableau != nullptr) {
     tableau->columns = columns;
     tableau->basis.assign(m, -1);
-    tableau->rows.assign(m, std::vector<Num>(num_structural_slack));
+    tableau->rows.resize(m);
     tableau->rhs.assign(m, Num());
     tableau->num_constraints = m;
     for (size_t i = 0; i < m; ++i) {
@@ -657,11 +651,13 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
       if (static_cast<size_t>(basis[i]) < num_structural_slack) {
         tableau->basis[i] = basis[i];
       }
-      std::vector<Num>& dst = tableau->rows[i];
+      // The support already lists the row's nonzeros in column order; the
+      // artificial columns, which are not exported, come last.
+      LpRow& dst = tableau->rows[i];
+      dst.clear();
       for (int j : kernel.support(i)) {
-        if (static_cast<size_t>(j) < num_structural_slack) {
-          dst[static_cast<size_t>(j)] = kernel.Get(i, static_cast<size_t>(j));
-        }
+        if (static_cast<size_t>(j) >= num_structural_slack) break;
+        dst.Append(j, kernel.Get(i, static_cast<size_t>(j)));
       }
       tableau->rhs[i] = kernel.Get(i, rhs_col);
     }
@@ -854,15 +850,19 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
   if (tableau != nullptr) {
     tableau->columns = columns;
     tableau->basis.assign(m, -1);
-    tableau->rows.assign(m, std::vector<Num>(num_structural_slack));
+    tableau->rows.resize(m);
     tableau->rhs.assign(m, Num());
     tableau->num_constraints = m;
     for (size_t i = 0; i < m; ++i) {
       if (static_cast<size_t>(basis[i]) < num_structural_slack) {
         tableau->basis[i] = basis[i];
       }
+      LpRow& dst = tableau->rows[i];
+      dst.clear();
       for (size_t j = 0; j < num_structural_slack; ++j) {
-        tableau->rows[i][j] = tab.At(i, j);
+        if (!tab.At(i, j).is_zero()) {
+          dst.Append(static_cast<int>(j), tab.At(i, j));
+        }
       }
       tableau->rhs[i] = tab.At(i, rhs_col);
     }
@@ -878,10 +878,10 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
   const size_t m_new = system.NumConstraints();
 
   // Usability: the parent basis must be artificial-free (artificials are not
-  // exported, so a row basic in one cannot be re-seeded), the variable set
-  // must not have grown since the parent solve, and the parent must actually
-  // be a prefix of `system`. Nothing has been touched yet, so kUnusableBasis
-  // leaves the tableau intact.
+  // exported, so a row basic in one cannot be re-seeded) and name columns
+  // the tableau has, the variable set must not have grown since the parent
+  // solve, and the parent must actually be a prefix of `system`. Nothing
+  // has been touched yet, so kUnusableBasis leaves the tableau intact.
   if (tableau->num_constraints > m_new) return out;
   size_t num_structural = 0;
   for (const LpColumnInfo& column : tableau->columns) {
@@ -889,7 +889,9 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
   }
   if (num_structural != n) return out;
   for (int b : tableau->basis) {
-    if (b < 0) return out;
+    if (b < 0 || static_cast<size_t>(b) >= tableau->columns.size()) {
+      return out;
+    }
   }
 
   const size_t old_rows = tableau->rows.size();
@@ -911,11 +913,9 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
   const size_t rows = old_rows + appended.size();
   const size_t total = old_cols + appended.size();
 
-  // Extend the tableau in place: zero cells for the fresh slack columns in
-  // the parent rows (resize default-constructs zeros), then one slack-basic
-  // row per appended half. All resizing happens before the sparse overlay
-  // attaches row pointers below — nothing may reallocate after that.
-  for (size_t i = 0; i < old_rows; ++i) tableau->rows[i].resize(total);
+  // Extend the tableau in place: one slack-basic row per appended half. The
+  // fresh slack columns are zero in every parent row, and a sparse row lists
+  // only its nonzeros, so the parent rows are not touched.
   tableau->rows.resize(rows);
   tableau->rhs.resize(rows);
   std::vector<int>& basis = tableau->basis;
@@ -926,12 +926,15 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
     const NewRow& plan = appended[r];
     const LinearConstraint& c = system.constraints()[plan.constraint];
     const int sign = plan.sub_sign < 0 ? 1 : -1;
-    std::vector<Num>& cells = tableau->rows[row];
-    cells.assign(total, Num());
+    // Coefficients are var-sorted and every slack sits past the structural
+    // columns, so cells arrive in column order.
+    LpRow& cells = tableau->rows[row];
+    cells.clear();
     for (const auto& [var, coeff] : c.coeffs) {
-      cells[static_cast<size_t>(var)] = sign < 0 ? -coeff : coeff;
+      if (coeff.is_zero()) continue;
+      cells.Append(var, sign < 0 ? -coeff : coeff);
     }
-    cells[slack] = Num(1);
+    cells.Append(static_cast<int>(slack), Num(1));
     tableau->rhs[row] = sign < 0 ? -c.rhs : c.rhs;
     basis.push_back(static_cast<int>(slack));
     tableau->columns.push_back({LpColumnInfo::Kind::kSlack,
@@ -940,29 +943,41 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
   }
   tableau->num_constraints = m_new;
 
-  SparseDualView view(rows, total);
-  for (size_t i = 0; i < rows; ++i) {
-    view.Attach(i, tableau->rows[i].data(), &tableau->rhs[i]);
-    view.BuildSupport(i);
-  }
   // Price out the parent's basic variables from the appended rows so basic
   // columns stay unit. Parent rows carry zeros in the fresh slack columns,
   // so elimination never spills into other appended rows — it only reads
   // rows < old_rows, which stay untouched until the pivot loop below.
+  // Parent row i has zeros in every other parent row's basic column, so
+  // the rows to eliminate are fixed by the appended row's cells up front;
+  // they run in parent-row order, which keeps the fill-in count stable.
+  std::vector<int>& basic_row = g_dual_scratch.basic_row;
+  basic_row.assign(old_cols, -1);
+  for (size_t i = 0; i < old_rows; ++i) {
+    basic_row[basis[i]] = static_cast<int>(i);
+  }
+  std::vector<int>& pending = g_dual_scratch.pending;
+  size_t fill_in = 0;
   for (size_t row = old_rows; row < rows; ++row) {
-    const std::vector<Num>& cells = tableau->rows[row];
-    for (size_t i = 0; i < old_rows; ++i) {
-      const Num factor = cells[static_cast<size_t>(basis[i])];
-      if (factor.is_zero()) continue;
-      view.Axpy(row, i, factor);
+    pending.clear();
+    for (int col : tableau->rows[row].cols) {
+      if (static_cast<size_t>(col) < old_cols && basic_row[col] >= 0) {
+        pending.push_back(basic_row[col]);
+      }
+    }
+    std::sort(pending.begin(), pending.end());
+    for (int i : pending) {
+      const Num* cell = tableau->rows[row].Find(basis[i]);
+      if (cell == nullptr) continue;  // Only a non-unit basis gets here.
+      const Num factor = *cell;
+      RowAxpy(&tableau->rows[row], &tableau->rhs[row], tableau->rows[i],
+              tableau->rhs[i], factor, &fill_in);
     }
   }
-  out.lp.nnz_cells = view.NnzCells();
+  for (const LpRow& row : tableau->rows) out.lp.nnz_cells += row.size();
   out.lp.total_cells = rows * total;
-  XICC_DCHECK_AUDIT(view.AuditSupports());
+  XICC_DCHECK_AUDIT(AuditTableauRows(*tableau));
 
-  // Dual simplex with Bland's rule, pivoting the tableau's own rows through
-  // the sparse overlay.
+  // Dual simplex with Bland's rule, pivoting the tableau's own sparse rows.
   const size_t pivot_cap = 200 + 16 * rows;
   for (;;) {
     XICC_FAULT_PROBE(kSimplexPivot);
@@ -981,16 +996,11 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
     }
     if (leaving < 0) break;  // Primal feasible again.
 
-    const std::vector<Num>& pivot_cells =
-        tableau->rows[static_cast<size_t>(leaving)];
-    size_t entering = total;
-    for (int j : view.support(static_cast<size_t>(leaving))) {
-      if (pivot_cells[static_cast<size_t>(j)].sign() < 0) {
-        entering = static_cast<size_t>(j);
-        break;
-      }
-    }
-    if (entering == total) {
+    // Entering: the leaving row's smallest column with a negative cell.
+    const LpRow& pivot_row = tableau->rows[static_cast<size_t>(leaving)];
+    size_t k = 0;
+    while (k < pivot_row.size() && pivot_row.vals[k].sign() >= 0) ++k;
+    if (k == pivot_row.size()) {
       // Exact certificate; the half-pivoted tableau is the caller's to
       // discard, per the in-place contract.
       out.status = WarmStatus::kOk;
@@ -1003,11 +1013,12 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
     }
     ++out.lp.pivots;
     ++out.lp.bland_pivots;
-    view.ApplyPivot(static_cast<size_t>(leaving), entering);
-    basis[leaving] = static_cast<int>(entering);
+    const int entering = pivot_row.cols[k];
+    PivotRows(tableau, static_cast<size_t>(leaving), k, &fill_in);
+    basis[leaving] = entering;
   }
-  out.lp.fill_in = view.fill_in();
-  XICC_DCHECK_AUDIT(view.AuditSupports());
+  out.lp.fill_in = fill_in;
+  XICC_DCHECK_AUDIT(AuditTableauRows(*tableau));
 
   out.status = WarmStatus::kOk;
   out.lp.feasible = true;

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "base/deadline.h"
@@ -26,21 +28,80 @@ struct LpColumnInfo {
   int sub_sign = 0;
 };
 
+/// One tableau row in sparse form: its nonzero coefficients, with `cols`
+/// strictly increasing and `vals[k]` the value at column `cols[k]`. A column
+/// that is not listed is zero, and no listed value is zero.
+struct LpRow {
+  std::vector<int> cols;
+  std::vector<Num> vals;
+
+  size_t size() const { return cols.size(); }
+  void clear() {
+    cols.clear();
+    vals.clear();
+  }
+  /// Appends a nonzero cell; `col` must exceed every column already listed.
+  void Append(int col, Num value) {
+    cols.push_back(col);
+    vals.push_back(std::move(value));
+  }
+  /// The cell at `col`, or null when it is zero (binary search).
+  const Num* Find(int col) const;
+};
+
 /// The final basis rows, for Gomory cut derivation and warm re-solving.
 /// Row i reads
 ///   x_{basis[i]} = rhs[i] - Σ_j coeffs[i][j]·x_j   (j over all columns),
 /// where basic columns carry coefficient 0 except their own unit entry.
+///
+/// Rows are stored sparse (LpRow), so a copy costs O(rows + nnz) rather than
+/// O(rows × columns): the encodings' tableaux are a few percent nonzero, and
+/// search nodes copy their parent's tableau. Copy-assignment reuses the row
+/// buffers the destination already owns, so a tableau that is copied into
+/// again and again — a pooled search-node tableau, a session's root scratch
+/// — stops allocating once its buffers have grown.
 struct LpTableau {
+  LpTableau() = default;
+  LpTableau(const LpTableau&) = default;
+  LpTableau(LpTableau&&) noexcept = default;
+  LpTableau& operator=(const LpTableau& other);
+  LpTableau& operator=(LpTableau&&) noexcept = default;
+
   std::vector<LpColumnInfo> columns;
   /// basis[i] indexes into `columns`; -1 marks a (degenerate, zero-valued)
   /// artificial still in the basis — rows like that are unusable for cuts
   /// and poison warm re-solves (the artificial column is not exported).
   std::vector<int> basis;
-  std::vector<std::vector<Num>> rows;  ///< Per row, per column.
+  /// Per row, its nonzero cells over `columns`.
+  std::vector<LpRow> rows;
   std::vector<Num> rhs;
   /// How many rows of the originating LinearSystem this tableau covers.
   /// A warm re-solve treats system rows past this index as appended.
   size_t num_constraints = 0;
+};
+
+/// A free list of tableaux for depth-first searches that copy a parent's
+/// basis into every node. A node leases a tableau; the lease hands it back,
+/// row buffers and all, when the node exits, so the next node's copy reuses
+/// those buffers instead of allocating. Not thread-safe: one pool per
+/// search thread.
+class LpTableauPool {
+ public:
+  class Lease {
+   public:
+    explicit Lease(LpTableauPool* pool);
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    LpTableau* get() { return tab_.get(); }
+
+   private:
+    LpTableauPool* pool_;
+    std::unique_ptr<LpTableau> tab_;
+  };
+
+ private:
+  std::vector<std::unique_ptr<LpTableau>> free_;
 };
 
 /// Outcome of an LP-relaxation feasibility check.
@@ -211,9 +272,12 @@ struct WarmResult {
 /// pivoting from the parent's dual-feasible basis instead of re-running
 /// phase-1 from scratch.
 ///
-/// The pivots run directly inside `tableau`, so a re-solve whose appended
-/// rows need only a handful of pivots — the Σ-delta session profile — pays
-/// no copy. On kOk with `lp.feasible`, `tableau` covers all of `system`; an
+/// The appended rows and slack columns extend `tableau` without touching
+/// its parent rows (a fresh column is absent, i.e. zero, in every sparse
+/// row), and the pivots run directly on its rows, so a re-solve whose
+/// appended rows need only a handful of pivots — the Σ-delta session
+/// profile — pays no copy and costs O(nnz) per pivot. On kOk with
+/// `lp.feasible`, `tableau` covers all of `system`; an
 /// infeasible verdict out of the dual loop is exact — the certificate row
 /// has nonnegative coefficients and a negative rhs over nonnegative
 /// variables. On kUnusableBasis the tableau is untouched, but on

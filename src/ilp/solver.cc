@@ -1,7 +1,6 @@
 #include "ilp/solver.h"
 
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -57,15 +56,16 @@ std::optional<LinearConstraint> DeriveGomoryCut(const LinearSystem& system,
   }
   if (best_row < 0) return std::nullopt;
 
-  const std::vector<Num>& row = tableau.rows[best_row];
+  const LpRow& row = tableau.rows[best_row];
   Num rhs = Frac(tableau.rhs[best_row]);
   // Accumulate structural coefficients; slack columns substitute to
-  // structural terms plus a constant folded into the rhs.
+  // structural terms plus a constant folded into the rhs. Only the row's
+  // nonzeros can have a fractional part.
   std::map<VarId, Num> coeffs;
-  for (size_t j = 0; j < row.size(); ++j) {
-    Num f = Frac(row[j]);
+  for (size_t k = 0; k < row.size(); ++k) {
+    Num f = Frac(row.vals[k]);
     if (f.is_zero()) continue;
-    const LpColumnInfo& column = tableau.columns[j];
+    const LpColumnInfo& column = tableau.columns[row.cols[k]];
     if (column.kind == LpColumnInfo::Kind::kStructural) {
       coeffs[column.index] += f;
       continue;
@@ -132,16 +132,20 @@ class BranchAndBound {
     if (options_.apply_papadimitriou_bound) {
       // Upper-bound every variable by the minimal-solution bound, making
       // the search space finite — but only when the bound is cheap to carry
-      // (see IlpOptions::max_bound_bits).
-      size_t m = work_.NumConstraints();
-      size_t n = work_.NumVariables();
-      BigInt a = work_.MaxAbsValue();
-      size_t estimated_bits =
-          (2 * m + 1) * (64 - __builtin_clzll(m | 1) + a.BitLength()) + 8;
-      if (m > 0 && estimated_bits <= options_.max_bound_bits) {
-        BigInt bound = PapadimitriouBound(m, n, a);
-        for (VarId v = 0; v < static_cast<VarId>(n); ++v) {
-          work_.AddConstraint(LinearExpr::Var(v), RelOp::kLe, bound);
+      // (see IlpOptions::max_bound_bits). The row count alone often rules
+      // the bound out, which spares the walk over every coefficient.
+      const size_t m = work_.NumConstraints();
+      const size_t n = work_.NumVariables();
+      const size_t m_bits = 64 - __builtin_clzll(m | 1);
+      if (m > 0 && (2 * m + 1) * m_bits + 8 <= options_.max_bound_bits) {
+        BigInt a = work_.MaxAbsValue();
+        const size_t estimated_bits =
+            (2 * m + 1) * (m_bits + a.BitLength()) + 8;
+        if (estimated_bits <= options_.max_bound_bits) {
+          BigInt bound = PapadimitriouBound(m, n, a);
+          for (VarId v = 0; v < static_cast<VarId>(n); ++v) {
+            work_.AddConstraint(LinearExpr::Var(v), RelOp::kLe, bound);
+          }
         }
       }
     }
@@ -177,30 +181,6 @@ class BranchAndBound {
   }
 
  private:
-  /// RAII handle on a tableau from the node free list; the destructor
-  /// returns it (with all its vector capacity) for the next node to reuse.
-  class PooledTableau {
-   public:
-    explicit PooledTableau(BranchAndBound* owner) : owner_(owner) {
-      if (owner_->tableau_pool_.empty()) {
-        tab_ = std::make_unique<LpTableau>();
-      } else {
-        tab_ = std::move(owner_->tableau_pool_.back());
-        owner_->tableau_pool_.pop_back();
-      }
-    }
-    ~PooledTableau() {
-      owner_->tableau_pool_.push_back(std::move(tab_));
-    }
-    PooledTableau(const PooledTableau&) = delete;
-    PooledTableau& operator=(const PooledTableau&) = delete;
-    LpTableau* get() { return tab_.get(); }
-
-   private:
-    BranchAndBound* owner_;
-    std::unique_ptr<LpTableau> tab_;
-  };
-
   /// Folds one LP solve's kernel counters into the running solution stats.
   void TallyLpCounters(const LpResult& lp) {
     solution_.lp_pivots += lp.pivots;
@@ -278,11 +258,12 @@ class BranchAndBound {
 
   bool ExploreWithCuts(const LpTableau* parent, size_t depth) {
     // Node tableaus come from a free list: releasing back to it keeps the
-    // row vectors' capacities, so the per-node `*tab = *parent` copy settles
-    // into zero allocator traffic once the tree depth has been visited once.
-    // (LpTableau itself must stay heap-vector-backed — parents are shared
-    // down the DFS and outlive any one node's arena scope.)
-    PooledTableau local(this);
+    // row buffers, so the per-node `*tab = *parent` copy — O(rows + nnz) on
+    // sparse rows — settles into zero allocator traffic once the tree depth
+    // has been visited once. (LpTableau itself must stay heap-vector-backed
+    // — parents are shared down the DFS and outlive any one node's arena
+    // scope.)
+    LpTableauPool::Lease local(&tableau_pool_);
     LpTableau* tab = local.get();
     bool try_warm = parent != nullptr;
     if (try_warm) {
@@ -353,7 +334,7 @@ class BranchAndBound {
   /// Non-null iff options_.stop is armed; points into options_.
   const StopSignal* stop_ = nullptr;
   IlpSolution solution_;
-  std::vector<std::unique_ptr<LpTableau>> tableau_pool_;
+  LpTableauPool tableau_pool_;
   bool budget_hit_ = false;
   /// The stop signal fired (observed at a node, a cut round, or inside a
   /// pivot loop). Distinct from budget_hit_: a budget trip is a resource

@@ -41,12 +41,12 @@ struct IlpOptions {
   /// an unchanged verdict. Plain SolveIlp is always single-threaded.
   size_t num_threads = 1;
   /// Caller-owned scratch tableau the ROOT branch-and-bound node copies the
-  /// warm hint into (instead of a fresh stack-local). Re-passing the same
-  /// scratch across many SolveIlp calls lets the copy reuse every limb
-  /// vector's capacity — the per-solve allocation burst of duplicating a
-  /// dense exact-rational tableau disappears after the first call. Must
-  /// outlive the solve, must not alias `warm_hint`, and must never be shared
-  /// across concurrent solves.
+  /// warm hint into (instead of a tableau from the solve's own free list,
+  /// which starts empty on every call). Re-passing the same scratch across
+  /// many SolveIlp calls lets the O(rows + nnz) copy reuse its row buffers,
+  /// so it allocates nothing after the first call. Must outlive the solve,
+  /// must not alias `warm_hint`, and must never be shared across concurrent
+  /// solves.
   LpTableau* root_scratch = nullptr;
   /// Cooperative stop: a deadline and/or cancel token polled at bounded
   /// cost — once per branch-and-bound node, once per Gomory cut round, and

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/bigint.h"
@@ -112,6 +114,23 @@ struct TableauFixture {
   }
 };
 
+/// The stored cell of `row` at `col`, or null when the column is absent.
+Num* CellAt(LpRow* row, int col) {
+  for (size_t k = 0; k < row->size(); ++k) {
+    if (row->cols[k] == col) return &row->vals[k];
+  }
+  return nullptr;
+}
+
+/// Stores a cell at `col`, keeping the columns sorted, so the only thing
+/// wrong with the row afterwards is the value itself.
+void InsertCell(LpRow* row, int col, const Num& value) {
+  auto it = std::lower_bound(row->cols.begin(), row->cols.end(), col);
+  const auto k = it - row->cols.begin();
+  row->cols.insert(it, col);
+  row->vals.insert(row->vals.begin() + k, value);
+}
+
 TEST(AuditTableauTest, SolverExportIsClean) {
   TableauFixture fx;
   EXPECT_TRUE(AuditTableau(fx.system, fx.tableau).empty())
@@ -129,20 +148,74 @@ TEST(AuditTableauTest, RejectsBrokenUnitColumn) {
   TableauFixture fx;
   const size_t row = fx.BasicRow();
   const int col = fx.tableau.basis[row];
-  fx.tableau.rows[row][col] = Num(2);
+  Num* own = CellAt(&fx.tableau.rows[row], col);
+  ASSERT_NE(own, nullptr);
+  *own = Num(2);
   EXPECT_TRUE(Mentions(AuditTableau(fx.system, fx.tableau),
                        "not unit in its own row"))
       << Joined(AuditTableau(fx.system, fx.tableau));
+
+  // Dropping the own-row cell makes it zero, which is not unit either.
+  TableauFixture fw;
+  LpRow& cells = fw.tableau.rows[fw.BasicRow()];
+  const int basic = fw.tableau.basis[fw.BasicRow()];
+  const auto k = std::find(cells.cols.begin(), cells.cols.end(), basic) -
+                 cells.cols.begin();
+  ASSERT_LT(static_cast<size_t>(k), cells.size());
+  cells.cols.erase(cells.cols.begin() + k);
+  cells.vals.erase(cells.vals.begin() + k);
+  EXPECT_TRUE(Mentions(AuditTableau(fw.system, fw.tableau),
+                       "not unit in its own row"))
+      << Joined(AuditTableau(fw.system, fw.tableau));
 
   // And a stray entry for the basic column outside its own row.
   TableauFixture fy;
   const size_t other = (fy.BasicRow() + 1) % fy.tableau.rows.size();
   ASSERT_NE(other, fy.BasicRow());
-  fy.tableau.rows[other][fy.tableau.basis[fy.BasicRow()]] =
-      Num(1);
+  InsertCell(&fy.tableau.rows[other], fy.tableau.basis[fy.BasicRow()],
+             Num(1));
   EXPECT_TRUE(Mentions(AuditTableau(fy.system, fy.tableau),
                        "nonzero entry outside its row"))
       << Joined(AuditTableau(fy.system, fy.tableau));
+}
+
+TEST(AuditTableauTest, RejectsMalformedSparseRows) {
+  // A row with two stored cells, for the layout corruptions.
+  auto wide_row = [](TableauFixture* f) -> LpRow* {
+    for (LpRow& row : f->tableau.rows) {
+      if (row.size() >= 2) return &row;
+    }
+    ADD_FAILURE() << "no row with two stored cells in the fixture tableau";
+    return &f->tableau.rows[0];
+  };
+
+  TableauFixture fx;
+  LpRow* row = wide_row(&fx);
+  std::swap(row->cols[0], row->cols[1]);
+  std::swap(row->vals[0], row->vals[1]);
+  EXPECT_TRUE(Mentions(AuditTableau(fx.system, fx.tableau),
+                       "not strictly increasing"))
+      << Joined(AuditTableau(fx.system, fx.tableau));
+
+  TableauFixture fy;
+  row = wide_row(&fy);
+  row->cols[1] = row->cols[0];  // The same column listed twice.
+  EXPECT_TRUE(Mentions(AuditTableau(fy.system, fy.tableau),
+                       "not strictly increasing"))
+      << Joined(AuditTableau(fy.system, fy.tableau));
+
+  TableauFixture fz;
+  const int width = static_cast<int>(fz.tableau.columns.size());
+  fz.tableau.rows[0].Append(width, Num(3));
+  EXPECT_TRUE(Mentions(AuditTableau(fz.system, fz.tableau),
+                       "outside width"))
+      << Joined(AuditTableau(fz.system, fz.tableau));
+
+  TableauFixture fw;
+  row = wide_row(&fw);
+  row->vals[0] = Num(0);
+  EXPECT_TRUE(Mentions(AuditTableau(fw.system, fw.tableau), "stored zero"))
+      << Joined(AuditTableau(fw.system, fw.tableau));
 }
 
 TEST(AuditTableauTest, RejectsDuplicateAndOutOfRangeBasis) {
@@ -207,8 +280,9 @@ TEST(AuditTableauTest, RejectsShapeMismatches) {
       << Joined(AuditTableau(fy.system, fy.tableau));
 
   TableauFixture fz;
-  fz.tableau.rows[0].pop_back();
-  EXPECT_TRUE(Mentions(AuditTableau(fz.system, fz.tableau), "cells for"))
+  ASSERT_GE(fz.tableau.rows[0].size(), 1u);
+  fz.tableau.rows[0].vals.pop_back();
+  EXPECT_TRUE(Mentions(AuditTableau(fz.system, fz.tableau), "columns for"))
       << Joined(AuditTableau(fz.system, fz.tableau));
 }
 

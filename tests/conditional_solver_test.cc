@@ -7,6 +7,7 @@
 #include "core/cardinality_encoding.h"
 #include "core/conditional_solver.h"
 #include "core/consistency.h"
+#include "ilp/simplex.h"
 #include "workloads/generators.h"
 
 namespace xicc {
@@ -142,6 +143,42 @@ TEST(ConditionalSolverTest, BudgetExhaustionReportedUnderThreads) {
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
         << "threads " << threads;
   }
+}
+
+// An LP can stop with no StopSignal armed: LpPricingConfig::pivot_cap
+// aborts a cold solve. Both of the case split's cold-LP exits — the base LP
+// and a presolve probe — must then report a no-verdict status instead of
+// reading the absent signal.
+TEST(ConditionalSolverTest, PivotCapWithoutStopSignalIsNoVerdict) {
+  LpPricingConfig capped;
+  capped.pivot_cap = 1;
+  ScopedLpPricingConfig guard(capped);
+
+  // The base LP needs phase-1 pivots: x ≥ 1 starts on an artificial.
+  LinearSystem base;
+  const VarId x = base.AddVariable("x");
+  base.AddConstraint(LinearExpr::Var(x), RelOp::kGe, BigInt(1));
+  IlpSolution partial;
+  IlpOptions options;
+  options.partial = &partial;
+  auto at_base = SolveWithConditionals(
+      base, {Conditional{LinearExpr::Var(x), LinearExpr::Var(x)}}, options);
+  ASSERT_FALSE(at_base.ok());
+  EXPECT_EQ(at_base.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(partial.cold_restarts, 1u);
+
+  // Here the base LP starts on its slack (no pivot), and the optimistic
+  // leaf is infeasible before its first pivot (its conclusion row reads
+  // 0 ≥ 1), so the first capped solve is presolve's cold probe of y = 0.
+  LinearSystem slack_base;
+  const VarId y = slack_base.AddVariable("y");
+  slack_base.AddConstraint(LinearExpr::Var(y), RelOp::kLe, BigInt(5));
+  IlpOptions cold;
+  cold.warm_start = false;
+  auto at_probe = SolveWithConditionals(
+      slack_base, {Conditional{LinearExpr::Var(y), LinearExpr()}}, cold);
+  ASSERT_FALSE(at_probe.ok());
+  EXPECT_EQ(at_probe.status().code(), StatusCode::kCancelled);
 }
 
 }  // namespace

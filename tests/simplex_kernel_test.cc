@@ -1,7 +1,7 @@
 // Sparse pricing-driven kernel (DESIGN.md §12): the anti-cycling contract
 // of the Dantzig→Bland degeneracy fallback, randomized differential parity
-// against the dense-Bland reference solver, and the kernel's
-// instrumentation counters.
+// against the dense-Bland reference solver (cold solves, and chains of warm
+// re-solves), and the kernel's instrumentation counters.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "base/bigint.h"
 #include "base/num.h"
+#include "ilp/audit.h"
 #include "ilp/linear_system.h"
 #include "ilp/simplex.h"
 
@@ -173,6 +174,100 @@ TEST(SimplexDifferentialTest, SparseKernelMatchesDenseBlandOnRandomSystems) {
   // Both verdicts must actually be exercised, or the generator is broken.
   EXPECT_GT(feasible, 0u);
   EXPECT_GT(infeasible, 0u);
+}
+
+// ------------------------------------------ Chained warm re-solves.
+
+struct ChainTally {
+  size_t warm_feasible = 0;
+  size_t warm_infeasible = 0;
+};
+
+/// Appends one random row over the existing variables: ≤, ≥ or =.
+void AppendRandomRow(LinearSystem* sys, std::mt19937_64* rng) {
+  std::uniform_int_distribution<int> coef(-3, 3);
+  std::uniform_int_distribution<int> rhs_val(-4, 8);
+  std::uniform_int_distribution<int> op_kind(0, 2);
+  LinearExpr expr;
+  for (size_t v = 0; v < sys->NumVariables(); ++v) {
+    const int c = coef(*rng);
+    if (c != 0) expr.Add(static_cast<VarId>(v), BigInt(c));
+  }
+  const int k = op_kind(*rng);
+  const RelOp op = k == 0 ? RelOp::kLe : (k == 1 ? RelOp::kGe : RelOp::kEq);
+  sys->AddConstraint(expr, op, BigInt(rhs_val(*rng)));
+}
+
+/// Two children per node, each appending one or two rows and re-solving
+/// warm in place on its own copy of `parent` — the shape of branch-and-bound
+/// and of the case split, where siblings start from the same parent basis.
+/// Every step is checked against the cold sparse and dense solves of the
+/// same rows; feasible children recurse from their warm (or, when the warm
+/// basis was unusable, their cold) tableau.
+void ExploreChain(LinearSystem* sys, const LpTableau& parent, int depth,
+                  std::mt19937_64* rng, ChainTally* tally) {
+  if (depth == 0) return;
+  std::uniform_int_distribution<int> extra_rows(1, 2);
+  for (int sibling = 0; sibling < 2; ++sibling) {
+    TrailScope scope(sys);
+    const int rows = extra_rows(*rng);
+    for (int r = 0; r < rows; ++r) AppendRandomRow(sys, rng);
+
+    LpTableau tab = parent;
+    WarmResult warm = ReSolveLpFeasibilityDualInPlace(*sys, &tab);
+    LpResult cold = SolveLpFeasibility(*sys);
+    LpResult dense = SolveLpFeasibilityDenseBland(*sys);
+    ASSERT_FALSE(cold.aborted);
+    ASSERT_FALSE(dense.aborted);
+    ASSERT_EQ(cold.feasible, dense.feasible) << sys->ToString();
+    if (warm.status == WarmStatus::kOk) {
+      ASSERT_EQ(warm.lp.feasible, cold.feasible)
+          << "warm verdict diverges at depth " << depth << ":\n"
+          << sys->ToString();
+      if (!warm.lp.feasible) {
+        ++tally->warm_infeasible;
+        continue;
+      }
+      ++tally->warm_feasible;
+      const std::vector<std::string> violations = AuditTableau(*sys, tab);
+      ASSERT_TRUE(violations.empty())
+          << violations.front() << "\n" << sys->ToString();
+      ASSERT_TRUE(SatisfiesSystem(*sys, warm.lp.values))
+          << "warm vertex violates the system:\n" << sys->ToString();
+    } else {
+      // An unusable basis or the pivot cap sends the callers to a cold
+      // re-solve, and the chain follows them.
+      ASSERT_NE(warm.status, WarmStatus::kAborted);
+      if (!cold.feasible) continue;
+      ASSERT_TRUE(SolveLpFeasibility(*sys, &tab).feasible);
+    }
+    ExploreChain(sys, tab, depth - 1, rng, tally);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(WarmChainDifferentialTest, ChainedReSolvesMatchColdAndDenseSolves) {
+  std::mt19937_64 rng(0xC4A15);
+  std::uniform_int_distribution<int> nvars(2, 5);
+  std::uniform_int_distribution<int> nrows(1, 4);
+  ChainTally tally;
+  size_t roots = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    LinearSystem sys;
+    const int nv = nvars(rng);
+    for (int v = 0; v < nv; ++v) sys.AddVariable("x" + std::to_string(v));
+    const int nr = nrows(rng);
+    for (int r = 0; r < nr; ++r) AppendRandomRow(&sys, &rng);
+    LpTableau root;
+    if (!SolveLpFeasibility(sys, &root).feasible) continue;
+    ++roots;
+    ExploreChain(&sys, root, /*depth=*/3, &rng, &tally);
+    ASSERT_FALSE(HasFatalFailure()) << "trial " << trial;
+  }
+  // Every branch of the comparison must actually be exercised.
+  EXPECT_GT(roots, 100u);
+  EXPECT_GT(tally.warm_feasible, 100u);
+  EXPECT_GT(tally.warm_infeasible, 100u);
 }
 
 // ------------------------------------------------------ Instrumentation.
