@@ -119,7 +119,7 @@ void RunCutsAblation(bench::JsonReport& report) {
     double ms = bench::BestTimeMs(3, [&] {
       auto r = SolveIlp(sys, with_cuts);
       if (!r.ok() || r->feasible) std::abort();
-      nodes = r->nodes_explored;
+      nodes = r->ilp_nodes;
     });
     std::printf("cuts on : %10.3f ms, %zu nodes (infeasibility certified)\n",
                 ms, nodes);

@@ -18,12 +18,11 @@
 #include <utility>
 #include <vector>
 
-#include "base/arena.h"
-#include "base/num.h"
 #include "bench/bench_util.h"
 #include "core/cardinality_encoding.h"
 #include "core/consistency.h"
 #include "ilp/simplex.h"
+#include "ilp/solver.h"
 #include "workloads/generators.h"
 
 namespace xicc {
@@ -69,16 +68,12 @@ void RunLpSection(bench::JsonReport& report) {
     const LinearSystem& sys = encoding->system;
     LpResult kept;
     // Tier/arena tallies for one representative solve (thread-local deltas).
-    uint64_t small_ops = 0, big_ops = 0, promotions = 0, arena_bytes = 0;
+    SolveCounters traffic;
     double ms = bench::BestTimeMs(5, [&] {
-      const NumCounters before = ThisThreadNumCounters();
-      const uint64_t bytes_before = ThisThreadArena().total_allocated();
+      traffic = SolveCounters();
+      const ThreadTraffic measure;
       LpResult lp = SolveLpFeasibility(sys);
-      const NumCounters& after = ThisThreadNumCounters();
-      small_ops = after.small_ops - before.small_ops;
-      big_ops = after.big_ops - before.big_ops;
-      promotions = after.promotions - before.promotions;
-      arena_bytes = ThisThreadArena().total_allocated() - bytes_before;
+      measure.AddTo(&traffic);
       kept = std::move(lp);
     });
     if (!kept.feasible) std::abort();
@@ -99,11 +94,14 @@ void RunLpSection(bench::JsonReport& report) {
     const std::string row = std::string("lp:") + c.name;
     double base = Pr3Baseline(row);
     const double promo_rate =  // xicc-lint: allow(exact-arithmetic)
-        small_ops > 0 ? static_cast<double>(promotions) / small_ops : 0.0;
-    const double nnz_density =  // xicc-lint: allow(exact-arithmetic)
-        kept.total_cells > 0
-            ? static_cast<double>(kept.nnz_cells) / kept.total_cells
+        traffic.num_small_ops > 0
+            ? static_cast<double>(traffic.num_promotions) /
+                  traffic.num_small_ops
             : 0.0;
+    const LpKernelStats& k = kept.kernel;
+    const double nnz_density =  // xicc-lint: allow(exact-arithmetic)
+        k.total_cells > 0 ? static_cast<double>(k.nnz_cells) / k.total_cells
+                          : 0.0;
     std::printf("%16s %8zu %8zu %12.3f %12.3f %12zu %9.2fx %9.2fx %8.4f\n",
                 c.name, sys.NumConstraints(), sys.NumVariables(), ms, dense_ms,
                 kept.pivots, base > 0 ? base / ms : 0.0, speedup_vs_dense,
@@ -116,20 +114,20 @@ void RunLpSection(bench::JsonReport& report) {
         .Set("dense_time_ms", dense_ms)
         .Set("speedup_vs_dense_x", speedup_vs_dense)
         .Set("pivots", kept.pivots)
-        .Set("dantzig_pivots", kept.dantzig_pivots)
-        .Set("bland_pivots", kept.bland_pivots)
-        .Set("bland_fallbacks", kept.bland_fallbacks)
+        .Set("dantzig_pivots", k.dantzig_pivots)
+        .Set("bland_pivots", k.bland_pivots)
+        .Set("bland_fallbacks", k.bland_fallbacks)
         .Set("nnz_density", nnz_density)
-        .Set("fill_in", kept.fill_in)
-        .Set("fast_rows", kept.fast_rows)
-        .Set("fast_row_promotions", kept.fast_row_promotions)
+        .Set("fill_in", k.fill_in)
+        .Set("fast_rows", k.fast_rows)
+        .Set("fast_row_promotions", k.fast_row_promotions)
         .Set("verdicts_identical", dense_feasible == kept.feasible)
         .Set("pr3_baseline_ms", base)
         .Set("speedup_vs_pr3_x", base > 0 ? base / ms : 0.0)
-        .Set("small_ops", small_ops)
-        .Set("big_ops", big_ops)
+        .Set("small_ops", traffic.num_small_ops)
+        .Set("big_ops", traffic.num_big_ops)
         .Set("promotion_rate", promo_rate)
-        .Set("arena_bytes", arena_bytes);
+        .Set("arena_bytes", traffic.arena_bytes);
   }
 }
 
@@ -155,26 +153,15 @@ void RunConsistencySection(bench::JsonReport& report) {
     for (uint64_t s = 0; s < 8; ++s) {
       queries.push_back(workloads::RandomUnarySigma(c.dtd, c.seed + s, 4, 4));
     }
-    size_t pivots = 0;
-    uint64_t small_ops = 0, big_ops = 0, promotions = 0, demotions = 0;
-    uint64_t arena_bytes = 0;
-    LpKernelStats kernel;
+    SolveCounters total;
     std::vector<char> verdicts(queries.size());
     double ms = bench::BestTimeMs(3, [&] {
-      pivots = 0;
-      small_ops = big_ops = promotions = demotions = arena_bytes = 0;
-      kernel = LpKernelStats();
+      total = SolveCounters();
       for (size_t i = 0; i < queries.size(); ++i) {
         auto r = CheckConsistency(c.dtd, queries[i], check);
         if (!r.ok()) std::abort();
         verdicts[i] = r->consistent ? 1 : 0;
-        pivots += r->stats.lp_pivots;
-        kernel.Add(r->stats.lp_kernel);
-        small_ops += r->stats.num_small_ops;
-        big_ops += r->stats.num_big_ops;
-        promotions += r->stats.num_promotions;
-        demotions += r->stats.num_demotions;
-        arena_bytes += r->stats.arena_bytes;
+        total.Add(r->stats);
       }
     });
 
@@ -192,22 +179,26 @@ void RunConsistencySection(bench::JsonReport& report) {
     const std::string row = std::string("consistency:") + c.name;
     double base = Pr3Baseline(row);
     const double promo_rate =  // xicc-lint: allow(exact-arithmetic)
-        small_ops > 0 ? static_cast<double>(promotions) / small_ops : 0.0;
+        total.num_small_ops > 0
+            ? static_cast<double>(total.num_promotions) / total.num_small_ops
+            : 0.0;
+    const LpKernelStats& kernel = total.lp_kernel;
     std::printf("%18s %8zu %12.3f %12zu %9.2fx %10.2e %10zu\n", c.name,
-                queries.size(), ms, pivots, base > 0 ? base / ms : 0.0,
-                promo_rate, static_cast<size_t>(arena_bytes));
+                queries.size(), ms, total.lp_pivots,
+                base > 0 ? base / ms : 0.0, promo_rate,
+                static_cast<size_t>(total.arena_bytes));
     report.AddRow("consistency")
         .Set("dtd", c.name)
         .Set("queries", queries.size())
         .Set("time_ms", ms)
-        .Set("pivots", pivots)
+        .Set("pivots", total.lp_pivots)
         .Set("pr3_baseline_ms", base)
         .Set("speedup_vs_pr3_x", base > 0 ? base / ms : 0.0)
-        .Set("small_ops", small_ops)
-        .Set("big_ops", big_ops)
+        .Set("small_ops", total.num_small_ops)
+        .Set("big_ops", total.num_big_ops)
         .Set("promotion_rate", promo_rate)
-        .Set("demotions", demotions)
-        .Set("arena_bytes", arena_bytes)
+        .Set("demotions", total.num_demotions)
+        .Set("arena_bytes", total.arena_bytes)
         .Set("dantzig_pivots", kernel.dantzig_pivots)
         .Set("bland_pivots", kernel.bland_pivots)
         .Set("bland_fallbacks", kernel.bland_fallbacks)

@@ -125,23 +125,23 @@ void RunBatchAblation(bench::JsonReport& report) {
     double batch_ms = bench::BestTimeMs(3, [&] {
       results = CheckBatch(*compiled, queries, options);
     });
-    uint64_t small_ops = 0, promotions = 0, arena_bytes = 0;
+    SolveCounters total;
     for (size_t i = 0; i < queries.size(); ++i) {
       if (!results[i].status.ok()) std::abort();
       // Bit-identical verdicts at every thread count, per the contract.
       if ((results[i].result.consistent ? 1 : 0) != fresh_verdicts[i]) {
         std::abort();
       }
-      small_ops += results[i].result.stats.num_small_ops;
-      promotions += results[i].result.stats.num_promotions;
-      arena_bytes += results[i].result.stats.arena_bytes;
+      total.Add(results[i].result.stats);
     }
     double speedup = batch_ms > 0 ? fresh_ms / batch_ms : 0.0;
     const double promo_rate =  // xicc-lint: allow(exact-arithmetic)
-        small_ops > 0 ? static_cast<double>(promotions) / small_ops : 0.0;
+        total.num_small_ops > 0
+            ? static_cast<double>(total.num_promotions) / total.num_small_ops
+            : 0.0;
     std::printf("%10zu %12zu %12.3f %12.3f %9.2fx %10.2e %10zu\n", threads,
                 queries.size(), batch_ms, fresh_ms, speedup, promo_rate,
-                static_cast<size_t>(arena_bytes));
+                static_cast<size_t>(total.arena_bytes));
     report.AddRow("batch")
         .Set("threads", threads)
         .Set("queries", queries.size())
@@ -149,7 +149,7 @@ void RunBatchAblation(bench::JsonReport& report) {
         .Set("fresh_ms", fresh_ms)
         .Set("speedup_x", speedup)
         .Set("promotion_rate", promo_rate)
-        .Set("arena_bytes", arena_bytes)
+        .Set("arena_bytes", total.arena_bytes)
         .Set("verdicts_identical", true);
   }
 }

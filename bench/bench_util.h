@@ -3,11 +3,14 @@
 
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <deque>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "base/worksteal.h"
 
 namespace xicc {
 namespace bench {
@@ -37,7 +40,9 @@ inline void Header(const std::string& title) {
 /// Machine-readable sidecar for a bench run: collects flat key/value rows
 /// and writes them to BENCH_<name>.json in the working directory, so the
 /// ablation tables in EXPERIMENTS.md can be regenerated without scraping
-/// the human-oriented stdout tables.
+/// the human-oriented stdout tables. A top-level "provenance" object says
+/// where the numbers came from: hardware threads, build type, compiler,
+/// the git revision the build was configured at, and a UTC timestamp.
 ///
 ///   JsonReport report("unary_consistency");
 ///   report.AddRow("catalog").Set("sections", n).Set("time_ms", ms);
@@ -110,7 +115,9 @@ class JsonReport {
       std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", name_.c_str());
+    std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
+    std::fprintf(f, "  \"provenance\": %s,\n", Provenance().c_str());
+    std::fprintf(f, "  \"rows\": [\n");
     for (size_t i = 0; i < rows_.size(); ++i) {
       std::fprintf(f, "    {");
       const auto& fields = rows_[i].fields_;
@@ -126,6 +133,22 @@ class JsonReport {
   }
 
  private:
+  /// XICC_BENCH_GIT_SHA, _BUILD_TYPE and _COMPILER are defined for every
+  /// bench by bench/CMakeLists.txt when it is configured.
+  static std::string Provenance() {
+    char stamp[32] = "unknown";
+    const std::time_t now = std::time(nullptr);
+    std::tm utc{};
+    if (gmtime_r(&now, &utc) != nullptr) {
+      std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &utc);
+    }
+    return "{\"hardware_threads\": " + std::to_string(HardwareConcurrency()) +
+           ", \"build_type\": " + Row::Quote(XICC_BENCH_BUILD_TYPE) +
+           ", \"compiler\": " + Row::Quote(XICC_BENCH_COMPILER) +
+           ", \"git_sha\": " + Row::Quote(XICC_BENCH_GIT_SHA) +
+           ", \"timestamp\": " + Row::Quote(stamp) + "}";
+  }
+
   std::string name_;
   std::deque<Row> rows_;
   bool written_ = false;

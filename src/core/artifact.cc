@@ -886,14 +886,16 @@ Result<std::shared_ptr<const CompiledDtd>> DeserializeCompiledDtd(
   XICC_ASSIGN_OR_RETURN(serde::Cursor meta_cursor,
                         reader.Section(kSecMeta, "artifact meta"));
   const bool tableau_valid = meta_cursor.Bool();
-  const double compile_ms =  // xicc-lint: allow(exact-arithmetic)
-      meta_cursor.F64();
+  // The compiling process's compile time is stored but not restored: this
+  // process compiled nothing, so the loaded bundle reports compile_ms = 0.
+  meta_cursor.F64();
   const uint64_t stored_digest = meta_cursor.U64();
   XICC_RETURN_IF_ERROR(meta_cursor.Finish());
 
   auto out = std::make_shared<CompiledDtd>(CompiledDtd{
       std::move(dtd), std::move(facts), std::move(models), std::move(plan),
-      std::move(skeleton), std::move(tableau), tableau_valid, compile_ms, 0});
+      std::move(skeleton), std::move(tableau), tableau_valid,
+      /*compile_ms=*/0.0, 0});
 
   // Layer 3 (kDeep only): recompute the semantic digest over the decoded
   // skeleton system, variable tables, tableau, and facts and demand

@@ -4,9 +4,7 @@
 #include <chrono>
 #include <utility>
 
-#include "base/arena.h"
 #include "base/debug.h"
-#include "base/num.h"
 #include "base/thread_annotations.h"
 #include "base/worksteal.h"
 #include "ilp/audit.h"
@@ -19,8 +17,8 @@ namespace {
 /// Search state shared by every DFS worker of one solve — a single worker
 /// sequentially (num_threads = 1), or one per fanned-out prefix in the
 /// parallel regime. Only the node counter and the terminal flags are
-/// contended; per-worker statistics are accumulated locally and flushed
-/// once per task.
+/// contended; each worker counts into its own SolveCounters, which a
+/// parallel prefix task adds into `counters` once, when it finishes.
 struct SearchShared {
   const std::vector<Conditional>* active = nullptr;
   IlpOptions options;
@@ -36,10 +34,12 @@ struct SearchShared {
   /// final status comes from the signal, with partial statistics attached.
   std::atomic<bool> stopped{false};
   Mutex mu;  // xicc-analyze: lock-leaf
-  /// `solution` carries feasible + values only (statistics are assembled
-  /// from the aggregated counters); `error` is the first leaf failure.
+  /// `solution` carries feasible + values only (its counters are assembled
+  /// by the solver); `error` is the first leaf failure.
   IlpSolution solution XICC_GUARDED_BY(mu);
   Status error XICC_GUARDED_BY(mu);
+  /// The finished parallel prefix tasks' counters, thread traffic included.
+  SolveCounters counters XICC_GUARDED_BY(mu);
 };
 
 /// One case-split DFS over a private trail-managed system. Resolutions are
@@ -80,23 +80,21 @@ class SplitWorker {
       tab = *parent;
       WarmResult warm =
           ReSolveLpFeasibilityDualInPlace(*system_, &tab, shared_->stop);
-      pivots += warm.lp.pivots;
-      kernel.Add(warm.lp);
+      counters.AddLp(warm.lp);
       if (warm.status == WarmStatus::kAborted) {
         shared_->stopped.store(true, std::memory_order_relaxed);
         return;
       }
       if (warm.status == WarmStatus::kOk) {
-        ++warm_starts;
+        ++counters.warm_starts;
         if (!warm.lp.feasible) return;
         have_tab = true;
       }
     }
     if (!have_tab) {
-      ++cold_restarts;
+      ++counters.cold_restarts;
       LpResult lp = SolveLpFeasibility(*system_, &tab, shared_->stop);
-      pivots += lp.pivots;
-      kernel.Add(lp);
+      counters.AddLp(lp);
       if (lp.aborted) {
         shared_->stopped.store(true, std::memory_order_relaxed);
         return;
@@ -115,20 +113,12 @@ class SplitWorker {
       Result<IlpSolution> leaf = SolveIlp(*system_, leaf_options, &tab);
       if (!leaf.ok()) {
         // A stopped leaf is the search being stopped, not failing: keep the
-        // work it did (flushed with this worker's counters) and let the
-        // solver report the stop status with partial statistics.
+        // work it did and let the solver report the stop status with
+        // partial statistics.
         const StatusCode code = leaf.status().code();
         if (code == StatusCode::kDeadlineExceeded ||
             code == StatusCode::kCancelled) {
-          ilp_nodes += leaf_partial.nodes_explored;
-          pivots += leaf_partial.lp_pivots;
-          cuts += leaf_partial.cuts_added;
-          warm_starts += leaf_partial.warm_starts;
-          cold_restarts += leaf_partial.cold_restarts;
-          kernel.Add(leaf_partial.lp_kernel);
-          if (leaf_partial.max_depth > max_depth) {
-            max_depth = leaf_partial.max_depth;
-          }
+          counters.Add(leaf_partial.SearchOnly());
           MutexLock lock(&shared_->mu);
           if (shared_->error.ok()) shared_->error = leaf.status();
           shared_->stopped.store(true, std::memory_order_relaxed);
@@ -139,13 +129,7 @@ class SplitWorker {
         shared_->failed.store(true, std::memory_order_relaxed);
         return;
       }
-      ilp_nodes += leaf->nodes_explored;
-      pivots += leaf->lp_pivots;
-      cuts += leaf->cuts_added;
-      warm_starts += leaf->warm_starts;
-      cold_restarts += leaf->cold_restarts;
-      kernel.Add(leaf->lp_kernel);
-      if (leaf->max_depth > max_depth) max_depth = leaf->max_depth;
+      counters.Add(leaf->SearchOnly());
       if (leaf->feasible) {
         MutexLock lock(&shared_->mu);
         if (!shared_->found.load(std::memory_order_relaxed)) {
@@ -173,14 +157,10 @@ class SplitWorker {
     system_->PopCheckpoint();
   }
 
-  // Per-worker statistics, flushed by the caller after the task finishes.
-  size_t pivots = 0;
-  size_t warm_starts = 0;
-  size_t cold_restarts = 0;
-  size_t cuts = 0;
-  size_t ilp_nodes = 0;  ///< Branch-and-bound nodes inside leaf solves.
-  size_t max_depth = 0;  ///< Deepest branch-and-bound node over all leaves.
-  LpKernelStats kernel;  ///< Sparse LP kernel counters (DESIGN.md §12).
+  /// This worker's search counters: its prune LPs and its leaves'
+  /// branch-and-bound (the case-split nodes are counted in SearchShared).
+  /// Thread traffic is left to whoever owns the thread's slice.
+  SolveCounters counters;
 
  private:
   bool Done() const {
@@ -211,16 +191,7 @@ class CaseSplitSolver {
         warm_(warm) {}
 
   Result<IlpSolution> Run() {
-    const auto start = std::chrono::steady_clock::now();
     if (options_.stop.Armed()) stop_ = &options_.stop;
-    // Two-tier arithmetic + arena traffic: everything this solve does on the
-    // calling thread (leaf ILPs, presolve probes, the sequential DFS) lands
-    // in this thread's counters, so one delta at the end captures it without
-    // double-counting the nested SolveIlp's own accounting. Pool workers
-    // measure their own thread-local deltas and flush them atomically (see
-    // RunSearch).
-    counters_before_ = ThisThreadNumCounters();
-    arena_before_ = ThisThreadArena().total_allocated();
 
     // The base basis: factorized cold exactly once — taken from the caller's
     // cross-round context when available (the connectivity-cut loop re-enters
@@ -239,12 +210,11 @@ class CaseSplitSolver {
       base_ro = &warm_->base_tableau;
       tab_ok = true;
     } else {
-      ++cold_restarts_;
+      ++counters_.cold_restarts;
       LpResult lp = SolveLpFeasibility(*work_, &base_tab, stop_);
-      pivots_ += lp.pivots;
-      kernel_.Add(lp);
-      if (lp.aborted) return NoVerdict(StopStatus(), nullptr, start);
-      if (!lp.feasible) return AssembleInfeasible(start);
+      counters_.AddLp(lp);
+      if (lp.aborted) return NoVerdict(StopStatus(), nullptr);
+      if (!lp.feasible) return Infeasible();
       tab_ok = true;
       base_ro = &base_tab;
       if (warm_ != nullptr) {
@@ -274,16 +244,15 @@ class CaseSplitSolver {
           SolveIlp(*work_, leaf_options, tab_ok ? base_ro : nullptr);
       work_->PopCheckpoint();
       if (!leaf.ok()) {
-        Accumulate(leaf_partial);
-        return NoVerdict(leaf.status(), nullptr, start);
+        counters_.Add(leaf_partial.SearchOnly());
+        return NoVerdict(leaf.status(), nullptr);
       }
+      counters_.Add(leaf->SearchOnly());
       if (leaf->feasible) {
-        Accumulate(*leaf);
         IlpSolution out = std::move(*leaf);
-        FillStats(&out, nullptr, start);
+        FillStats(&out, nullptr);
         return out;
       }
-      Accumulate(*leaf);
     }
 
     // The split machinery below mutates its basis (presolve extends it over
@@ -299,13 +268,13 @@ class CaseSplitSolver {
     // warm from the base basis.
     for (const Conditional& cond : conditionals_) {
       if (stop_ != nullptr && stop_->ShouldStop()) {
-        return NoVerdict(StopStatus(), nullptr, start);
+        return NoVerdict(StopStatus(), nullptr);
       }
       work_->PushCheckpoint();
       work_->AddConstraint(cond.premise, RelOp::kEq, BigInt(0));
       bool premise_can_vanish = ProbeLp(base_tab, tab_ok);
       work_->PopCheckpoint();
-      if (stopped_) return NoVerdict(StopStatus(), nullptr, start);
+      if (stopped_) return NoVerdict(StopStatus(), nullptr);
       if (premise_can_vanish) {
         active_.push_back(cond);
         continue;
@@ -319,16 +288,15 @@ class CaseSplitSolver {
         scratch_tab_ = base_tab;
         WarmResult warm =
             ReSolveLpFeasibilityDualInPlace(*work_, &scratch_tab_, stop_);
-        pivots_ += warm.lp.pivots;
-        kernel_.Add(warm.lp);
+        counters_.AddLp(warm.lp);
         if (warm.status == WarmStatus::kAborted) {
-          return NoVerdict(StopStatus(), nullptr, start);
+          return NoVerdict(StopStatus(), nullptr);
         }
         if (warm.status == WarmStatus::kOk) {
-          ++warm_starts_;
+          ++counters_.warm_starts;
           // Forced conclusions hold in every solution satisfying the
           // conditionals, so their joint infeasibility settles the verdict.
-          if (!warm.lp.feasible) return AssembleInfeasible(start);
+          if (!warm.lp.feasible) return Infeasible();
           // A swap keeps the old basis's buffers for the next copy.
           std::swap(base_tab, scratch_tab_);
         }
@@ -353,7 +321,7 @@ class CaseSplitSolver {
       // annotated discipline still wants the lock for the guarded move.
       MutexLock lock(&shared.mu);
       IlpSolution out = std::move(shared.solution);
-      FillStats(&out, &shared, start);
+      FillStats(&out, &shared);
       return out;
     }
     if (shared.failed.load()) {
@@ -369,42 +337,25 @@ class CaseSplitSolver {
         MutexLock lock(&shared.mu);
         status = !shared.error.ok() ? shared.error : StopStatus();
       }
-      return NoVerdict(status, &shared, start);
+      return NoVerdict(status, &shared);
     }
     if (shared.budget_hit.load()) {
       return NoVerdict(Status::ResourceExhausted(
                            "conditional case-split exceeded node budget"),
-                       &shared, start);
+                       &shared);
     }
     IlpSolution out;
-    FillStats(&out, &shared, start);
+    FillStats(&out, &shared);
     return out;
   }
 
  private:
-  // Timing only, never a verdict. xicc-lint: allow(exact-arithmetic)
-  static double ElapsedMs(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(  // xicc-lint: allow(exact-arithmetic)
-               std::chrono::steady_clock::now() - start)
-        .count();
-  }
-
   /// Why a stopped solve has no verdict. An LP can abort without a stop
   /// signal (LpPricingConfig::pivot_cap); with no signal to ask, the status
   /// is kCancelled, as in BranchAndBound::Run.
   Status StopStatus() const {
     return stop_ != nullptr ? stop_->ToStatus()
                             : Status::Cancelled("case-split was stopped");
-  }
-
-  void Accumulate(const IlpSolution& partial) {
-    nodes_ += partial.nodes_explored;
-    pivots_ += partial.lp_pivots;
-    cuts_ += partial.cuts_added;
-    warm_starts_ += partial.warm_starts;
-    cold_restarts_ += partial.cold_restarts;
-    kernel_.Add(partial.lp_kernel);
-    if (partial.max_depth > max_depth_) max_depth_ = partial.max_depth;
   }
 
   /// LP feasibility of the current work_ state, warm from `base_tab` when
@@ -414,21 +365,19 @@ class CaseSplitSolver {
       scratch_tab_ = base_tab;
       WarmResult warm =
           ReSolveLpFeasibilityDualInPlace(*work_, &scratch_tab_, stop_);
-      pivots_ += warm.lp.pivots;
-      kernel_.Add(warm.lp);
+      counters_.AddLp(warm.lp);
       if (warm.status == WarmStatus::kAborted) {
         stopped_ = true;
         return false;  // Meaningless; the caller checks stopped_ first.
       }
       if (warm.status == WarmStatus::kOk) {
-        ++warm_starts_;
+        ++counters_.warm_starts;
         return warm.lp.feasible;
       }
     }
-    ++cold_restarts_;
+    ++counters_.cold_restarts;
     LpResult lp = SolveLpFeasibility(*work_, nullptr, stop_);
-    pivots_ += lp.pivots;
-    kernel_.Add(lp);
+    counters_.AddLp(lp);
     if (lp.aborted) {
       stopped_ = true;
       return false;
@@ -442,7 +391,7 @@ class CaseSplitSolver {
     if (threads <= 1 || active_.size() < 2) {
       SplitWorker worker(shared, work_);
       worker.Explore(0, root);
-      FlushWorker(worker);
+      counters_.Add(worker.counters);
       return;
     }
 
@@ -458,22 +407,6 @@ class CaseSplitSolver {
     if (levels > active_.size()) levels = active_.size();
     const size_t num_tasks = size_t{1} << levels;
 
-    std::atomic<size_t> pivots{0};
-    std::atomic<size_t> warm_starts{0};
-    std::atomic<size_t> cold_restarts{0};
-    std::atomic<size_t> cuts{0};
-    std::atomic<size_t> ilp_nodes{0};
-    std::atomic<size_t> deepest{0};
-    std::atomic<uint64_t> small_ops{0};
-    std::atomic<uint64_t> big_ops{0};
-    std::atomic<uint64_t> promotions{0};
-    std::atomic<uint64_t> demotions{0};
-    std::atomic<uint64_t> arena_bytes{0};
-    // The eight sparse-kernel counters travel as one struct under a leaf
-    // mutex instead of eight more atomics — the flush runs once per prefix
-    // task, never inside a pivot loop.
-    Mutex kernel_mu;  // xicc-analyze: lock-leaf
-    LpKernelStats kernel_delta;
     {
       // Constructed with the solve's cancel token (when any): Cancel() then
       // wakes parked workers and the pool drains unstarted prefix tasks
@@ -483,10 +416,7 @@ class CaseSplitSolver {
       for (size_t mask = 0; mask < num_tasks; ++mask) {
         // Bit i of `mask` picks conditional i's resolution; enumeration
         // order matches the sequential DFS (conclusion side first).
-        pool.Submit([this, mask, levels, root, shared, &pivots, &warm_starts,
-                     &cold_restarts, &cuts, &ilp_nodes, &deepest, &small_ops,
-                     &big_ops, &promotions, &demotions, &arena_bytes,
-                     &kernel_mu, &kernel_delta] {
+        pool.Submit([this, mask, levels, root, shared] {
           if (shared->found.load(std::memory_order_relaxed) ||
               shared->failed.load(std::memory_order_relaxed) ||
               shared->budget_hit.load(std::memory_order_relaxed) ||
@@ -497,10 +427,9 @@ class CaseSplitSolver {
             shared->stopped.store(true, std::memory_order_relaxed);
             return;
           }
-          // Thread-local arithmetic/arena deltas per task: several tasks run
-          // back-to-back on one pool thread, so each brackets its own slice.
-          const NumCounters num_before = ThisThreadNumCounters();
-          const uint64_t bytes_before = ThisThreadArena().total_allocated();
+          // Several tasks run back-to-back on one pool thread, so each
+          // measures its own slice of the thread's traffic.
+          const ThreadTraffic traffic;
           LinearSystem local = *work_;
           for (size_t level = 0; level < levels; ++level) {
             const Conditional& cond = active_[level];
@@ -512,107 +441,46 @@ class CaseSplitSolver {
           }
           SplitWorker worker(shared, &local);
           worker.Explore(levels, root);
-          pivots.fetch_add(worker.pivots, std::memory_order_relaxed);
-          warm_starts.fetch_add(worker.warm_starts,
-                                std::memory_order_relaxed);
-          cold_restarts.fetch_add(worker.cold_restarts,
-                                  std::memory_order_relaxed);
-          cuts.fetch_add(worker.cuts, std::memory_order_relaxed);
-          ilp_nodes.fetch_add(worker.ilp_nodes, std::memory_order_relaxed);
-          {
-            MutexLock lock(&kernel_mu);
-            kernel_delta.Add(worker.kernel);
-          }
-          size_t seen = deepest.load(std::memory_order_relaxed);
-          while (worker.max_depth > seen &&
-                 !deepest.compare_exchange_weak(seen, worker.max_depth,
-                                                std::memory_order_relaxed)) {
-          }
-          const NumCounters& num_after = ThisThreadNumCounters();
-          small_ops.fetch_add(num_after.small_ops - num_before.small_ops,
-                              std::memory_order_relaxed);
-          big_ops.fetch_add(num_after.big_ops - num_before.big_ops,
-                            std::memory_order_relaxed);
-          promotions.fetch_add(num_after.promotions - num_before.promotions,
-                               std::memory_order_relaxed);
-          demotions.fetch_add(num_after.demotions - num_before.demotions,
-                              std::memory_order_relaxed);
-          arena_bytes.fetch_add(
-              ThisThreadArena().total_allocated() - bytes_before,
-              std::memory_order_relaxed);
+          traffic.AddTo(&worker.counters);
+          MutexLock lock(&shared->mu);
+          shared->counters.Add(worker.counters);
         });
       }
       pool.Wait();
     }
-    pivots_ += pivots.load();
-    warm_starts_ += warm_starts.load();
-    cold_restarts_ += cold_restarts.load();
-    cuts_ += cuts.load();
-    nodes_ += ilp_nodes.load();
-    kernel_.Add(kernel_delta);
-    if (deepest.load() > max_depth_) max_depth_ = deepest.load();
-    worker_small_ops_ += small_ops.load();
-    worker_big_ops_ += big_ops.load();
-    worker_promotions_ += promotions.load();
-    worker_demotions_ += demotions.load();
-    worker_arena_bytes_ += arena_bytes.load();
+    MutexLock lock(&shared->mu);
+    counters_.Add(shared->counters);
   }
 
-  void FlushWorker(const SplitWorker& worker) {
-    pivots_ += worker.pivots;
-    warm_starts_ += worker.warm_starts;
-    cold_restarts_ += worker.cold_restarts;
-    cuts_ += worker.cuts;
-    nodes_ += worker.ilp_nodes;
-    kernel_.Add(worker.kernel);
-    if (worker.max_depth > max_depth_) max_depth_ = worker.max_depth;
-  }
-
-  /// Writes everything counted so far into `out`'s statistics — every exit
-  /// reports this way. `shared` (null before the DFS) adds the pool's node
-  /// count. The arithmetic counters are the calling thread's delta since
-  /// Run() started plus whatever the pool workers flushed: leaf SolveIlp
-  /// calls report their own slices too, but those slices are *contained* in
-  /// this thread's running counters, so the delta counts them exactly once.
-  void FillStats(IlpSolution* out, const SearchShared* shared,
-                 std::chrono::steady_clock::time_point start) const {
-    out->nodes_explored =
-        nodes_ + (shared != nullptr ? shared->nodes.load() : 0);
-    out->lp_pivots = pivots_;
-    out->cuts_added = cuts_;
-    out->warm_starts = warm_starts_;
-    out->cold_restarts = cold_restarts_;
-    out->lp_kernel = kernel_;
-    out->max_depth = max_depth_;
-    const NumCounters& now = ThisThreadNumCounters();
-    out->num_small_ops =
-        now.small_ops - counters_before_.small_ops + worker_small_ops_;
-    out->num_big_ops = now.big_ops - counters_before_.big_ops + worker_big_ops_;
-    out->num_promotions =
-        now.promotions - counters_before_.promotions + worker_promotions_;
-    out->num_demotions =
-        now.demotions - counters_before_.demotions + worker_demotions_;
-    out->arena_bytes = ThisThreadArena().total_allocated() - arena_before_ +
-                       worker_arena_bytes_;
-    out->wall_ms = ElapsedMs(start);
+  /// Writes everything counted so far into `out`'s counters — every exit
+  /// reports this way. `shared` (null before the DFS) adds the case-split
+  /// node count. Thread traffic is this thread's since the solve started
+  /// (the leaf SolveIlp calls on it included) plus what the pool's prefix
+  /// tasks measured on theirs.
+  void FillStats(IlpSolution* out, const SearchShared* shared) const {
+    static_cast<SolveCounters&>(*out) = counters_;
+    if (shared != nullptr) out->ilp_nodes += shared->nodes.load();
+    traffic_.AddTo(out);
+    out->ilp_wall_ms =
+        std::chrono::duration<double, std::milli>(  // xicc-lint: allow(exact-arithmetic)
+            std::chrono::steady_clock::now() - start_)
+            .count();
   }
 
   /// The no-verdict exit: `status` says why there is no answer, and the
   /// caller's partial sink (when given) receives everything counted so far —
   /// the work already done is part of the contract.
-  Status NoVerdict(Status status, const SearchShared* shared,
-                   std::chrono::steady_clock::time_point start) {
+  Status NoVerdict(Status status, const SearchShared* shared) {
     if (options_.partial != nullptr) {
       *options_.partial = IlpSolution{};
-      FillStats(options_.partial, shared, start);
+      FillStats(options_.partial, shared);
     }
     return status;
   }
 
-  Result<IlpSolution> AssembleInfeasible(
-      std::chrono::steady_clock::time_point start) {
+  Result<IlpSolution> Infeasible() {
     IlpSolution out;
-    FillStats(&out, nullptr, start);
+    FillStats(&out, nullptr);
     return out;
   }
 
@@ -630,25 +498,13 @@ class CaseSplitSolver {
   /// the working basis, into buffers kept from the previous copy.
   LpTableau scratch_tab_;
 
-  // Statistics accumulated outside the DFS (optimistic leaf, presolve) and
-  // flushed from workers after it.
-  size_t nodes_ = 0;
-  size_t pivots_ = 0;
-  size_t cuts_ = 0;
-  size_t warm_starts_ = 0;
-  size_t cold_restarts_ = 0;
-  size_t max_depth_ = 0;
-  LpKernelStats kernel_;
-
-  // Two-tier arithmetic accounting (see Run/FillStats): calling-thread
-  // baselines plus the pool workers' flushed deltas.
-  NumCounters counters_before_;
-  uint64_t arena_before_ = 0;
-  uint64_t worker_small_ops_ = 0;
-  uint64_t worker_big_ops_ = 0;
-  uint64_t worker_promotions_ = 0;
-  uint64_t worker_demotions_ = 0;
-  uint64_t worker_arena_bytes_ = 0;
+  // The solve's counters, minus the DFS node count (SearchShared) and thread
+  // traffic and wall time, which FillStats adds from the two members below.
+  // Declared last, so they start measuring once the solver is built.
+  SolveCounters counters_;
+  const std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+  const ThreadTraffic traffic_;
 };
 
 }  // namespace

@@ -52,10 +52,10 @@ struct CaseSplitWarmContext {
 /// the fully-resolved leaf ILPs included. With options.num_threads > 1 the
 /// first ~log2(num_threads)+1 levels of the split tree fan out onto a small
 /// work-stealing pool (each task owns a private copy of the system; deeper
-/// levels stay sequential-warm-started within the task); statistics are
-/// aggregated atomically and the verdict is identical to the sequential
-/// one — num_threads = 1 (the default) keeps behaviour and statistics fully
-/// deterministic.
+/// levels stay sequential-warm-started within the task); each task adds its
+/// counters once, when it finishes, and the verdict is identical to the
+/// sequential one — num_threads = 1 (the default) keeps behaviour and
+/// statistics fully deterministic.
 ///
 /// Compared with the big-M linearization (ApplyBigMLinearization) this
 /// avoids astronomically large coefficients; the ablation bench compares

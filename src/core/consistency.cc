@@ -4,6 +4,13 @@
 
 namespace xicc {
 
+void ConsistencyStats::Add(const ConsistencyStats& other) {
+  SolveCounters::Add(other);
+  sigma_delta_checks += other.sigma_delta_checks;
+  memo_hits += other.memo_hits;
+  memo_misses += other.memo_misses;
+}
+
 Result<ConsistencyResult> CheckConsistency(const Dtd& dtd,
                                            const ConstraintSet& sigma,
                                            const ConsistencyOptions& options) {

@@ -46,35 +46,14 @@ struct ConsistencyOptions {
   ConsistencyStats* partial_stats = nullptr;
 };
 
-struct ConsistencyStats {
+/// What one check reports. The search counters are the SolveCounters block
+/// of its Ψ(D,Σ) solve, copied whole (all zero when the Figure 5 dispatch
+/// decided without a solve); a check stopped without a verdict reports the
+/// block as far as the search got. A memo hit did no solve and reports
+/// zero search cost, with memo_hits = 1 and its own memo timings.
+struct ConsistencyStats : SolveCounters {
   size_t system_variables = 0;
   size_t system_constraints = 0;
-  size_t ilp_nodes = 0;
-  size_t lp_pivots = 0;
-  /// LP solves that restored feasibility via dual simplex from the parent
-  /// node's basis, vs. those that fell back to a cold phase-1 solve.
-  size_t warm_starts = 0;
-  size_t cold_restarts = 0;
-  /// Deepest branch-and-bound node reached (best-so-far depth): the most
-  /// useful single number in a partial report of a stopped search.
-  size_t search_depth = 0;
-  /// Sparse LP kernel counters (DESIGN.md §12) summed over every LP solve
-  /// of the check: pricing-rule pivot split, Dantzig→Bland degeneracy
-  /// fallbacks, fill-in, initial tableau density, and the int64 fast lane's
-  /// row/promotion tallies.
-  LpKernelStats lp_kernel;
-  /// Two-tier exact arithmetic (base/num.h): pivot-loop operations served by
-  /// the packed 64-bit small tier vs the BigInt big tier, plus the tier
-  /// transitions. num_promotions / num_small_ops is the promotion rate.
-  uint64_t num_small_ops = 0;
-  uint64_t num_big_ops = 0;
-  uint64_t num_promotions = 0;
-  uint64_t num_demotions = 0;
-  /// Per-thread arena traffic (cumulative bytes bumped, not footprint)
-  /// consumed by the check's solves.
-  uint64_t arena_bytes = 0;
-  /// Wall time spent inside the ILP search (case-split + branch-and-bound).
-  double ilp_wall_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
 
   // Spec-session counters (zero outside SpecSession / CheckBatch paths).
   /// Wall time spent compiling the DTD artifact bundle, charged to the
@@ -98,6 +77,10 @@ struct ConsistencyStats {
   double memo_lookup_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
   /// Shared-memo store: payload snapshot + shard lock wait + hold.
   double memo_store_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
+
+  /// Adds another check's solve counters, Σ-delta checks and memo hits and
+  /// misses into this block: the totals of a batch.
+  void Add(const ConsistencyStats& other);
 };
 
 struct ConsistencyResult {

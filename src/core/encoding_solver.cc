@@ -46,25 +46,6 @@ std::set<std::string> PhantomSupport(const CardinalityEncoding& encoding,
   return phantom;
 }
 
-/// Adds `from`'s statistics into `into` (values/feasible untouched) — used
-/// both to chain connectivity rounds and to hand earlier rounds' work to the
-/// caller's partial sink when a later round is stopped.
-void FoldStats(const IlpSolution& from, IlpSolution* into) {
-  into->nodes_explored += from.nodes_explored;
-  into->lp_pivots += from.lp_pivots;
-  into->cuts_added += from.cuts_added;
-  into->warm_starts += from.warm_starts;
-  into->cold_restarts += from.cold_restarts;
-  into->lp_kernel.Add(from.lp_kernel);
-  if (from.max_depth > into->max_depth) into->max_depth = from.max_depth;
-  into->num_small_ops += from.num_small_ops;
-  into->num_big_ops += from.num_big_ops;
-  into->num_promotions += from.num_promotions;
-  into->num_demotions += from.num_demotions;
-  into->arena_bytes += from.arena_bytes;
-  into->wall_ms += from.wall_ms;
-}
-
 }  // namespace
 
 bool SupportIsConnected(const CardinalityEncoding& encoding,
@@ -85,7 +66,10 @@ Result<IlpSolution> SolveEncodingSystemInPlace(
     const std::vector<Conditional>& base_conditionals,
     const EncodingSolveOptions& options, CaseSplitWarmContext* warm) {
   std::vector<Conditional> conditionals = base_conditionals;
-  IlpSolution accumulated;
+  // The counters of the rounds before this one. A round that ends without a
+  // verdict reports only itself through the partial sink, so the earlier
+  // rounds are added there too.
+  SolveCounters earlier;
   // The base system never changes across connectivity rounds — only the
   // conditional set grows by one lazy cut per round — so the base LP basis
   // is factorized cold once (or supplied pre-factorized by a session) and
@@ -98,9 +82,7 @@ Result<IlpSolution> SolveEncodingSystemInPlace(
     // between rounds plus the solver's own internal polls bounds the
     // overshoot past a deadline by one poll interval, not one round.
     if (options.ilp.stop.Armed() && options.ilp.stop.ShouldStop()) {
-      if (options.ilp.partial != nullptr) {
-        FoldStats(accumulated, options.ilp.partial);
-      }
+      if (options.ilp.partial != nullptr) options.ilp.partial->Add(earlier);
       return options.ilp.stop.ToStatus();
     }
     Result<IlpSolution> solved =
@@ -110,14 +92,10 @@ Result<IlpSolution> SolveEncodingSystemInPlace(
             : SolveIlp(ApplyBigMLinearization(*system, conditionals),
                        options.ilp);
     if (!solved.ok()) {
-      // The inner solver reported only its own round into the partial sink;
-      // fold in what the earlier rounds already did.
-      if (options.ilp.partial != nullptr) {
-        FoldStats(accumulated, options.ilp.partial);
-      }
+      if (options.ilp.partial != nullptr) options.ilp.partial->Add(earlier);
       return solved.status();
     }
-    FoldStats(accumulated, &*solved);
+    solved->Add(earlier);
     if (!solved->feasible) return solved;
 
     std::set<std::string> phantom = PhantomSupport(encoding, *solved);
@@ -135,7 +113,7 @@ Result<IlpSolution> SolveEncodingSystemInPlace(
       }
     }
     conditionals.push_back(std::move(cut));
-    accumulated = std::move(*solved);
+    earlier = *solved;
   }
   return Status::ResourceExhausted(
       "support-connectivity cuts did not converge within " +

@@ -347,14 +347,13 @@ Result<ConsistencyResult> SpecSession::Check(const ConstraintSet& sigma) {
     }
     if (cached != nullptr) {
       ++stats_.memo_hits;
+      // The cached verdict, but not the cached cost: this query ran no
+      // solve, so its stats are the lookup's alone.
       ConsistencyResult hit = *cached;
+      hit.stats = ConsistencyStats{};
       hit.stats.memo_hits = 1;
-      hit.stats.memo_misses = 0;
-      hit.stats.compile_ms = 0.0;
-      hit.stats.session_setup_ms = 0.0;
       hit.stats.memo_key_ms = memo_key_ms;
       hit.stats.memo_lookup_ms = memo_lookup_ms;
-      hit.stats.memo_store_ms = 0.0;
       return hit;
     }
   }

@@ -52,7 +52,9 @@ struct CompiledDtd {
   /// because the skeleton rows form a prefix of every session system.
   LpTableau skeleton_tableau;
   bool skeleton_tableau_valid = false;
-  /// Wall time CompileDtd spent, for the compile-vs-query ablation.
+  /// Wall time CompileDtd spent in this process, for the compile-vs-query
+  /// ablation. A bundle loaded from an artifact file reports 0: the file
+  /// keeps the compiling process's time, but loading compiled nothing.
   double compile_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
   /// Content digest stamped by CompileDtd (core/audit.h); XICC_AUDIT builds
   /// re-check it before and after every session query to machine-check the

@@ -33,23 +33,6 @@ EncodingSolveOptions ToSolveOptions(const ConsistencyOptions& options) {
   return out;
 }
 
-/// Copies an ILP solution's counters into the check's stats block — used on
-/// verdicts and (via the partial sink) on stopped/exhausted exits alike.
-void FillIlpStats(const IlpSolution& solved, ConsistencyStats* stats) {
-  stats->ilp_nodes = solved.nodes_explored;
-  stats->lp_pivots = solved.lp_pivots;
-  stats->warm_starts = solved.warm_starts;
-  stats->cold_restarts = solved.cold_restarts;
-  stats->search_depth = solved.max_depth;
-  stats->lp_kernel = solved.lp_kernel;
-  stats->num_small_ops = solved.num_small_ops;
-  stats->num_big_ops = solved.num_big_ops;
-  stats->num_promotions = solved.num_promotions;
-  stats->num_demotions = solved.num_demotions;
-  stats->arena_bytes = solved.arena_bytes;
-  stats->ilp_wall_ms = solved.wall_ms;
-}
-
 /// Validates + evaluates a freshly built witness; any failure is a bug in
 /// the encoding or the constructor, surfaced as kInternal.
 Status VerifyWitness(const XmlTree& tree, const FreshPath& path,
@@ -106,12 +89,12 @@ Result<ConsistencyResult> SolveCell(FreshPath& path, PsiCell cell,
   if (!solved.ok()) {
     // A stopped or exhausted check still reports the work it did.
     if (options.partial_stats != nullptr) {
-      FillIlpStats(partial, &result.stats);
+      static_cast<SolveCounters&>(result.stats) = partial;
       *options.partial_stats = result.stats;
     }
     return solved.status();
   }
-  FillIlpStats(solved->solution, &result.stats);
+  static_cast<SolveCounters&>(result.stats) = solved->solution;
   result.consistent = solved->solution.feasible;
   if (!result.consistent) {
     switch (cell) {

@@ -106,7 +106,7 @@ class SparseKernel {
 
   /// Construction-time store. Rows start fast; only a coefficient outside
   /// the small domain promotes here.
-  void InitCell(size_t i, size_t j, const Num& value, LpResult* stats) {
+  void InitCell(size_t i, size_t j, const Num& value, LpKernelStats* stats) {
     if (exact_[i].empty()) {
       Word n = 0;
       Word d = 1;
@@ -123,7 +123,7 @@ class SparseKernel {
   /// One full pivot at (pivot_row, entering): normalize the pivot row, then
   /// eliminate the entering column from every other row (objective row
   /// included), walking only the pivot row's support.
-  void PivotApply(size_t pivot_row, size_t entering, LpResult* stats) {
+  void PivotApply(size_t pivot_row, size_t entering, LpKernelStats* stats) {
     ScaleRow(pivot_row, Get(pivot_row, entering), stats);
     for (size_t i = 0; i < rows_; ++i) {
       if (i == pivot_row) continue;
@@ -152,7 +152,7 @@ class SparseKernel {
   Word* DenRow(size_t i) { return dens_.data() + i * cols_; }
 
   /// Whole-row fast→exact promotion; sticky for the rest of the solve.
-  void PromoteRow(size_t i, LpResult* stats) {
+  void PromoteRow(size_t i, LpKernelStats* stats) {
     std::vector<Num>& cells = exact_[i];
     cells.reserve(cols_);
     const Word* n = NumRow(i);
@@ -165,7 +165,7 @@ class SparseKernel {
 
   /// row /= pivot over the row's support and rhs. Support cells are nonzero
   /// by invariant, so the fast path runs no zero tests at all.
-  void ScaleRow(size_t i, const Num& pivot, LpResult* stats) {
+  void ScaleRow(size_t i, const Num& pivot, LpKernelStats* stats) {
     const std::vector<int>& sup = support_[i];
     const size_t rhs = cols_ - 1;
     size_t k = 0;  // Support cells [0, k) (then the rhs) already scaled.
@@ -202,7 +202,7 @@ class SparseKernel {
 
   /// row_i -= factor · row_p over row_p's support (+ rhs), then merges the
   /// supports and counts fill-in.
-  void AxpyRow(size_t i, size_t p, const Num& factor, LpResult* stats) {
+  void AxpyRow(size_t i, size_t p, const Num& factor, LpKernelStats* stats) {
     const std::vector<int>& psup = support_[p];
     const size_t rhs = cols_ - 1;
     size_t k = 0;  // Support cells [0, k) (then the rhs) already updated.
@@ -251,7 +251,7 @@ class SparseKernel {
   /// cancelled to zero. Cells only in support_i were untouched by the axpy
   /// and stay without a test; cells from support_p are tested, and the ones
   /// absent from support_i that came out nonzero are fill-in.
-  void MergeSupport(size_t i, size_t p, LpResult* stats) {
+  void MergeSupport(size_t i, size_t p, LpKernelStats* stats) {
     const std::vector<int>& a = support_[i];
     const std::vector<int>& b = support_[p];
     merge_scratch_.clear();
@@ -465,29 +465,32 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
     for (const auto& [var, coeff] : c.coeffs) {
       if (coeff.is_zero()) continue;
       kernel.InitCell(i, static_cast<size_t>(var),
-                      sign < 0 ? -coeff : coeff, &result);
+                      sign < 0 ? -coeff : coeff, &result.kernel);
       kernel.support(i).push_back(static_cast<int>(var));
     }
-    kernel.InitCell(i, rhs_col, plan[i].negate ? -c.rhs : c.rhs, &result);
+    kernel.InitCell(i, rhs_col, plan[i].negate ? -c.rhs : c.rhs,
+                    &result.kernel);
     if (slack_col[i] >= 0) {
       // Original slack sign: +1 for ≤, −1 for ≥; then the row negation.
       const int slack_sign = (c.op == RelOp::kLe ? 1 : -1) * sign;
       kernel.InitCell(i, static_cast<size_t>(slack_col[i]), Num(slack_sign),
-                      &result);
+                      &result.kernel);
       kernel.support(i).push_back(slack_col[i]);
     }
     if (plan[i].use_slack) {
       basis[i] = slack_col[i];
     } else {
       plan[i].artificial_col = static_cast<int>(next_artificial);
-      kernel.InitCell(i, next_artificial, Num(1), &result);
+      kernel.InitCell(i, next_artificial, Num(1), &result.kernel);
       kernel.support(i).push_back(static_cast<int>(next_artificial));
       basis[i] = static_cast<int>(next_artificial);
       ++next_artificial;
     }
   }
-  for (size_t i = 0; i < m; ++i) result.nnz_cells += kernel.support(i).size();
-  result.total_cells = m * total;
+  for (size_t i = 0; i < m; ++i) {
+    result.kernel.nnz_cells += kernel.support(i).size();
+  }
+  result.kernel.total_cells = m * total;
 
   // Phase-1 objective: minimize the sum of artificial variables. In tableau
   // form the reduced-cost row is -(sum of artificial rows) over
@@ -505,7 +508,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
     for (size_t j = 0; j <= rhs_col; ++j) {
       if (j >= num_structural_slack && j < total) continue;  // Artificial.
       if (objective[j].is_zero()) continue;
-      kernel.InitCell(m, j, -objective[j], &result);
+      kernel.InitCell(m, j, -objective[j], &result.kernel);
       if (j < total) kernel.support(m).push_back(static_cast<int>(j));
     }
   }
@@ -574,11 +577,11 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
     const bool degenerate = kernel.IsZero(pivot_row, rhs_col);
     ++result.pivots;
     if (bland_mode) {
-      ++result.bland_pivots;
+      ++result.kernel.bland_pivots;
     } else {
-      ++result.dantzig_pivots;
+      ++result.kernel.dantzig_pivots;
     }
-    kernel.PivotApply(pivot_row, entering, &result);
+    kernel.PivotApply(pivot_row, entering, &result.kernel);
     basis[pivot_row] = static_cast<int>(entering);
     if (degenerate) {
       ++degenerate_streak;
@@ -586,7 +589,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
           pricing.degenerate_streak_limit != 0 &&
           degenerate_streak >= pricing.degenerate_streak_limit) {
         bland_mode = true;
-        ++result.bland_fallbacks;
+        ++result.kernel.bland_fallbacks;
       }
     } else {
       degenerate_streak = 0;
@@ -599,7 +602,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
   if (!kernel.IsZero(m, rhs_col)) {
     result.feasible = false;
     for (size_t i = 0; i <= m; ++i) {
-      if (kernel.IsFast(i)) ++result.fast_rows;
+      if (kernel.IsFast(i)) ++result.kernel.fast_rows;
     }
     return result;
   }
@@ -622,8 +625,8 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
       }
       const size_t entering = static_cast<size_t>(sup.front());
       ++result.pivots;
-      ++result.bland_pivots;
-      kernel.PivotApply(i, entering, &result);
+      ++result.kernel.bland_pivots;
+      kernel.PivotApply(i, entering, &result.kernel);
       basis[i] = static_cast<int>(entering);
     }
     XICC_DCHECK_AUDIT(kernel.AuditSupports());
@@ -635,7 +638,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
     }
   }
   for (size_t i = 0; i <= m; ++i) {
-    if (kernel.IsFast(i)) ++result.fast_rows;
+    if (kernel.IsFast(i)) ++result.kernel.fast_rows;
   }
 
   if (tableau != nullptr) {
@@ -778,7 +781,7 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
     if (pivot_row == m) break;  // Phase-1 cannot be unbounded; defensive.
 
     ++result.pivots;
-    ++result.bland_pivots;
+    ++result.kernel.bland_pivots;
     Num* pivot_cells = tab.Row(pivot_row);
     const Num pivot = pivot_cells[entering];
     for (size_t j = 0; j <= rhs_col; ++j) {
@@ -819,7 +822,7 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
       }
       if (entering == num_structural_slack) continue;  // Redundant row.
       ++result.pivots;
-      ++result.bland_pivots;
+      ++result.kernel.bland_pivots;
       Num* pivot_cells = tab.Row(i);
       const Num pivot = pivot_cells[entering];
       for (size_t j = 0; j <= rhs_col; ++j) {
@@ -973,8 +976,10 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
               tableau->rhs[i], factor, &fill_in);
     }
   }
-  for (const LpRow& row : tableau->rows) out.lp.nnz_cells += row.size();
-  out.lp.total_cells = rows * total;
+  for (const LpRow& row : tableau->rows) {
+    out.lp.kernel.nnz_cells += row.size();
+  }
+  out.lp.kernel.total_cells = rows * total;
   XICC_DCHECK_AUDIT(AuditTableauRows(*tableau));
 
   // Dual simplex with Bland's rule, pivoting the tableau's own sparse rows.
@@ -1012,12 +1017,12 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
       return out;
     }
     ++out.lp.pivots;
-    ++out.lp.bland_pivots;
+    ++out.lp.kernel.bland_pivots;
     const int entering = pivot_row.cols[k];
     PivotRows(tableau, static_cast<size_t>(leaving), k, &fill_in);
     basis[leaving] = entering;
   }
-  out.lp.fill_in = fill_in;
+  out.lp.kernel.fill_in = fill_in;
   XICC_DCHECK_AUDIT(AuditTableauRows(*tableau));
 
   out.status = WarmStatus::kOk;

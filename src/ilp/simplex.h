@@ -104,23 +104,13 @@ class LpTableauPool {
   std::vector<std::unique_ptr<LpTableau>> free_;
 };
 
-/// Outcome of an LP-relaxation feasibility check.
-struct LpResult {
-  bool feasible = false;
-  /// True when the solve was stopped by its StopSignal (deadline expiry or
-  /// cancellation) before reaching a verdict. `feasible` is then
-  /// meaningless and MUST NOT be read as "infeasible".
-  bool aborted = false;
-  /// Values for the system's original variables when feasible.
-  std::vector<Num> values;
-  /// Pivot count, for the solver statistics.
-  size_t pivots = 0;
-
-  // ---- Sparse-kernel instrumentation (see DESIGN.md §12). ----
+/// Sparse-kernel instrumentation (see DESIGN.md §12): what one LP solve did,
+/// or — summed with Add — what every LP solve of a search did.
+struct LpKernelStats {
   /// Pivots priced by each rule. Warm (dual) re-solves are always Bland, so
-  /// there dantzig_pivots stays 0; pivots == dantzig_pivots + bland_pivots
-  /// (drive-out pivots of degenerate artificials count as Bland — they use
-  /// the same smallest-index selection).
+  /// there dantzig_pivots stays 0; LpResult::pivots == dantzig_pivots +
+  /// bland_pivots (drive-out pivots of degenerate artificials count as
+  /// Bland — they use the same smallest-index selection).
   size_t dantzig_pivots = 0;
   size_t bland_pivots = 0;
   /// How many times a degeneracy streak forced the Dantzig→Bland fallback.
@@ -137,33 +127,7 @@ struct LpResult {
   /// end of the solve, and rows that overflowed into the exact Num lane.
   size_t fast_rows = 0;
   size_t fast_row_promotions = 0;
-  /// True when LpPricingConfig::pivot_cap stopped the solve (test harness
-  /// only; `aborted` is set too, so no verdict was reached).
-  bool pivot_cap_hit = false;
-};
 
-/// The sparse-kernel counters of LpResult in aggregable form, for solves
-/// that sum many LP calls (branch-and-bound, case-split, sessions).
-struct LpKernelStats {
-  size_t dantzig_pivots = 0;
-  size_t bland_pivots = 0;
-  size_t bland_fallbacks = 0;
-  size_t fill_in = 0;
-  size_t nnz_cells = 0;
-  size_t total_cells = 0;
-  size_t fast_rows = 0;
-  size_t fast_row_promotions = 0;
-
-  void Add(const LpResult& lp) {
-    dantzig_pivots += lp.dantzig_pivots;
-    bland_pivots += lp.bland_pivots;
-    bland_fallbacks += lp.bland_fallbacks;
-    fill_in += lp.fill_in;
-    nnz_cells += lp.nnz_cells;
-    total_cells += lp.total_cells;
-    fast_rows += lp.fast_rows;
-    fast_row_promotions += lp.fast_row_promotions;
-  }
   void Add(const LpKernelStats& other) {
     dantzig_pivots += other.dantzig_pivots;
     bland_pivots += other.bland_pivots;
@@ -174,6 +138,23 @@ struct LpKernelStats {
     fast_rows += other.fast_rows;
     fast_row_promotions += other.fast_row_promotions;
   }
+};
+
+/// Outcome of an LP-relaxation feasibility check.
+struct LpResult {
+  bool feasible = false;
+  /// True when the solve was stopped by its StopSignal (deadline expiry or
+  /// cancellation) before reaching a verdict. `feasible` is then
+  /// meaningless and MUST NOT be read as "infeasible".
+  bool aborted = false;
+  /// Values for the system's original variables when feasible.
+  std::vector<Num> values;
+  /// Pivot count, for the solver statistics.
+  size_t pivots = 0;
+  LpKernelStats kernel;
+  /// True when LpPricingConfig::pivot_cap stopped the solve (test harness
+  /// only; `aborted` is set too, so no verdict was reached).
+  bool pivot_cap_hit = false;
 };
 
 /// Tuning knobs of the cold solve's entering-variable pricing. Thread-local

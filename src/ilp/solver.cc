@@ -12,6 +12,44 @@
 
 namespace xicc {
 
+void SolveCounters::Add(const SolveCounters& other) {
+  ilp_nodes += other.ilp_nodes;
+  lp_pivots += other.lp_pivots;
+  cuts_added += other.cuts_added;
+  warm_starts += other.warm_starts;
+  cold_restarts += other.cold_restarts;
+  if (other.search_depth > search_depth) search_depth = other.search_depth;
+  lp_kernel.Add(other.lp_kernel);
+  num_small_ops += other.num_small_ops;
+  num_big_ops += other.num_big_ops;
+  num_promotions += other.num_promotions;
+  num_demotions += other.num_demotions;
+  arena_bytes += other.arena_bytes;
+  ilp_wall_ms += other.ilp_wall_ms;
+}
+
+SolveCounters SolveCounters::SearchOnly() const {
+  SolveCounters out = *this;
+  out.num_small_ops = out.num_big_ops = 0;
+  out.num_promotions = out.num_demotions = 0;
+  out.arena_bytes = 0;
+  out.ilp_wall_ms = 0.0;
+  return out;
+}
+
+ThreadTraffic::ThreadTraffic()
+    : num_(ThisThreadNumCounters()),
+      arena_bytes_(ThisThreadArena().total_allocated()) {}
+
+void ThreadTraffic::AddTo(SolveCounters* out) const {
+  const NumCounters& now = ThisThreadNumCounters();
+  out->num_small_ops += now.small_ops - num_.small_ops;
+  out->num_big_ops += now.big_ops - num_.big_ops;
+  out->num_promotions += now.promotions - num_.promotions;
+  out->num_demotions += now.demotions - num_.demotions;
+  out->arena_bytes += ThisThreadArena().total_allocated() - arena_bytes_;
+}
+
 BigInt PapadimitriouBound(size_t num_constraints, size_t num_variables,
                           const BigInt& max_abs_value) {
   if (num_constraints == 0 || num_variables == 0) return BigInt(1);
@@ -123,12 +161,9 @@ class BranchAndBound {
 
   Result<IlpSolution> Run() {
     const auto start = std::chrono::steady_clock::now();
-    // Snapshot the calling thread's two-tier arithmetic and arena counters;
-    // the deltas at exit are this solve's own traffic. Nested solvers (the
-    // case-split search, the connectivity cut loop) take their snapshots at
-    // their own boundaries, so nobody double-counts.
-    const NumCounters counters_before = ThisThreadNumCounters();
-    const uint64_t arena_before = ThisThreadArena().total_allocated();
+    // This solve's own thread traffic. A caller that nests the solve on its
+    // thread (the case split's leaves) keeps only SearchOnly() of the result.
+    const ThreadTraffic traffic;
     if (options_.apply_papadimitriou_bound) {
       // Upper-bound every variable by the minimal-solution bound, making
       // the search space finite — but only when the bound is cheap to carry
@@ -151,16 +186,8 @@ class BranchAndBound {
     }
     bool found = Explore(/*parent=*/hint_, /*depth=*/0);
     solution_.feasible = found;
-    const NumCounters& counters_after = ThisThreadNumCounters();
-    solution_.num_small_ops = counters_after.small_ops - counters_before.small_ops;
-    solution_.num_big_ops = counters_after.big_ops - counters_before.big_ops;
-    solution_.num_promotions =
-        counters_after.promotions - counters_before.promotions;
-    solution_.num_demotions =
-        counters_after.demotions - counters_before.demotions;
-    solution_.arena_bytes =
-        ThisThreadArena().total_allocated() - arena_before;
-    solution_.wall_ms =
+    traffic.AddTo(&solution_);
+    solution_.ilp_wall_ms =
         std::chrono::duration<double, std::milli>(  // xicc-lint: allow(exact-arithmetic)
             std::chrono::steady_clock::now() - start)
             .count();
@@ -181,12 +208,6 @@ class BranchAndBound {
   }
 
  private:
-  /// Folds one LP solve's kernel counters into the running solution stats.
-  void TallyLpCounters(const LpResult& lp) {
-    solution_.lp_pivots += lp.pivots;
-    solution_.lp_kernel.Add(lp);
-  }
-
   /// One LP solve of the current work_ state into `tab`. When `try_warm`,
   /// `tab` must hold a feasible ancestor basis of a row-prefix of work_ —
   /// the appended rows go through the dual-simplex re-solve; any warm
@@ -196,7 +217,7 @@ class BranchAndBound {
       // In-place re-solve: `tab` is this node's private (or scratch) copy,
       // and every failure path below overwrites it with a cold solve.
       WarmResult warm = ReSolveLpFeasibilityDualInPlace(work_, tab, stop_);
-      TallyLpCounters(warm.lp);
+      solution_.AddLp(warm.lp);
       if (warm.status == WarmStatus::kAborted) {
         // The stop fired mid-pivot. No cold fallback — the point of
         // stopping is to stop, not to finish the node another way.
@@ -217,7 +238,7 @@ class BranchAndBound {
     }
     ++solution_.cold_restarts;
     LpResult lp = SolveLpFeasibility(work_, tab, stop_);
-    TallyLpCounters(lp);
+    solution_.AddLp(lp);
     if (lp.aborted) {
       stopped_ = true;
       return lp;
@@ -240,12 +261,12 @@ class BranchAndBound {
       return false;
     }
     if (options_.max_nodes != 0 &&
-        solution_.nodes_explored >= options_.max_nodes) {
+        solution_.ilp_nodes >= options_.max_nodes) {
       budget_hit_ = true;
       return false;
     }
-    ++solution_.nodes_explored;
-    if (depth > solution_.max_depth) solution_.max_depth = depth;
+    ++solution_.ilp_nodes;
+    if (depth > solution_.search_depth) solution_.search_depth = depth;
     XICC_DCHECK_AUDIT(AuditTrail(work_));
 
     // Gomory cuts derived here stay pushed for the whole subtree (they are

@@ -55,46 +55,85 @@ struct IlpOptions {
   /// check is not "infeasible".
   StopSignal stop;
   /// When non-null and the solve ends without a verdict (the stop signal
-  /// fired or the node budget tripped), receives the statistics accumulated
+  /// fired or the node budget tripped), receives the counters accumulated
   /// so far — nodes explored, pivots, deepest node reached — with
   /// `feasible` false.
   IlpSolution* partial = nullptr;
 };
 
-struct IlpSolution {
-  bool feasible = false;
-  /// Integer values per variable when feasible.
-  std::vector<BigInt> values;
-  /// Statistics.
-  size_t nodes_explored = 0;
+/// The search counters of a Ψ(D,Σ) solve — one block, declared once and
+/// carried unchanged from the solver to the caller: IlpSolution and
+/// ConsistencyStats both derive from it, so the CLI's `--stats`, the daemon
+/// and the benches read the very fields the search incremented. Counters
+/// are deltas: each solve reports the work it did, and callers that run
+/// several solves (connectivity rounds, case-split leaves, batch totals)
+/// sum them with Add.
+struct SolveCounters {
+  /// Branch-and-bound nodes, plus the case-split DFS nodes when conditionals
+  /// were split.
+  size_t ilp_nodes = 0;
+  /// Simplex pivots over every LP solve of the search.
   size_t lp_pivots = 0;
+  /// Gomory fractional cuts appended by branch-and-bound.
   size_t cuts_added = 0;
-  /// Deepest branch-and-bound node reached (root = 0) — the best-so-far
-  /// depth reported with partial statistics when a solve is stopped.
-  size_t max_depth = 0;
-  /// LP solves served incrementally from a parent basis (dual simplex).
-  size_t warm_starts = 0;
-  /// LP solves that ran the cold phase-1 path (root nodes, disabled warm
+  /// LP solves served incrementally from a parent basis (dual simplex),
+  /// vs. those that ran the cold phase-1 path (root nodes, disabled warm
   /// start, or warm-basis fallbacks).
+  size_t warm_starts = 0;
   size_t cold_restarts = 0;
-  /// Sparse LP kernel (DESIGN.md §12), summed over every LP solve of this
-  /// ILP solve: pivots priced by each rule, Dantzig→Bland degeneracy
-  /// fallbacks, fill-in, tableau density, and the int64 fast lane's
-  /// row/promotion tallies.
+  /// Deepest branch-and-bound node reached (root = 0): the best-so-far depth,
+  /// the most useful single number in a partial report of a stopped search.
+  size_t search_depth = 0;
+  /// Sparse LP kernel (DESIGN.md §12), summed over every LP solve.
   LpKernelStats lp_kernel;
-  /// Two-tier exact arithmetic (base/num.h), this solve's share: operations
-  /// served by the packed small tier vs the BigInt tier, and the transitions
-  /// between them. promotions/small_ops is the promotion rate the benches
-  /// report.
+  /// Thread traffic (see ThreadTraffic). Two-tier exact arithmetic
+  /// (base/num.h): operations served by the packed small tier vs the BigInt
+  /// tier, and the transitions between them; num_promotions / num_small_ops
+  /// is the promotion rate the benches report.
   uint64_t num_small_ops = 0;
   uint64_t num_big_ops = 0;
   uint64_t num_promotions = 0;
   uint64_t num_demotions = 0;
-  /// Bytes of per-thread arena scratch consumed by this solve (cumulative
-  /// traffic, not footprint — see Arena::total_allocated).
+  /// Bytes of per-thread arena scratch consumed (cumulative traffic, not
+  /// footprint — see Arena::total_allocated).
   uint64_t arena_bytes = 0;
-  /// Wall-clock time spent inside the solve.
-  double wall_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
+  /// Wall time spent inside the search (case split + branch-and-bound).
+  double ilp_wall_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
+
+  /// Sums every field of `other` into this block; search_depth keeps the
+  /// maximum.
+  void Add(const SolveCounters& other);
+  /// Tallies one LP solve: its pivots and kernel counters.
+  void AddLp(const LpResult& lp) {
+    lp_pivots += lp.pivots;
+    lp_kernel.Add(lp.kernel);
+  }
+  /// This block without thread traffic and wall time: what a solve nested on
+  /// the caller's own thread (a case split's leaf SolveIlp) adds to the
+  /// caller, whose ThreadTraffic and clock already cover that stretch.
+  SolveCounters SearchOnly() const;
+};
+
+/// Measures the calling thread's two-tier arithmetic and arena traffic from
+/// construction on. Every scope that owns a slice of a thread — a
+/// branch-and-bound search, a case split, one parallel prefix task — holds
+/// one, so each thread's traffic is counted exactly once.
+class ThreadTraffic {
+ public:
+  ThreadTraffic();
+  /// Adds the traffic since construction into `out`'s thread-traffic fields.
+  void AddTo(SolveCounters* out) const;
+
+ private:
+  NumCounters num_;
+  uint64_t arena_bytes_;
+};
+
+/// A solve's verdict, with the counters of the work that reached it.
+struct IlpSolution : SolveCounters {
+  bool feasible = false;
+  /// Integer values per variable when feasible.
+  std::vector<BigInt> values;
 };
 
 /// The Papadimitriou bound (J.ACM 28(4), 1981), as used in Theorem 4.1 and

@@ -221,9 +221,14 @@ Result<ConsistencyOptions> OptionsFromFlags(const ParsedArgs& parsed) {
   return options;
 }
 
-/// One line of sparse-LP-kernel counters (DESIGN.md §12), shared by the
-/// per-check and batch-total stats blocks.
-void PrintLpKernel(const LpKernelStats& k, std::ostream& out) {
+/// The `arithmetic:` and `lp kernel:` lines of a solve-counter block, shared
+/// by the per-check stats and the batch totals.
+void PrintSolveCounters(const SolveCounters& c, std::ostream& out) {
+  out << "arithmetic: " << c.num_small_ops << " small ops, " << c.num_big_ops
+      << " big ops, " << c.num_promotions << " promotions / "
+      << c.num_demotions << " demotions, arena " << c.arena_bytes
+      << " bytes\n";
+  const LpKernelStats& k = c.lp_kernel;
   out << "lp kernel:  " << k.dantzig_pivots << " dantzig / " << k.bland_pivots
       << " bland pivots, " << k.bland_fallbacks << " fallbacks, fill-in "
       << k.fill_in << ", nnz " << k.nnz_cells << "/" << k.total_cells
@@ -238,11 +243,7 @@ void PrintStats(const ConsistencyStats& stats, std::ostream& out) {
       << stats.warm_starts << " warm / " << stats.cold_restarts
       << " cold), depth " << stats.search_depth << ", ilp "
       << stats.ilp_wall_ms << " ms\n";
-  out << "arithmetic: " << stats.num_small_ops << " small ops, "
-      << stats.num_big_ops << " big ops, " << stats.num_promotions
-      << " promotions / " << stats.num_demotions << " demotions, arena "
-      << stats.arena_bytes << " bytes\n";
-  PrintLpKernel(stats.lp_kernel, out);
+  PrintSolveCounters(stats, out);
   out << "session:    compile " << stats.compile_ms << " ms, "
       << stats.sigma_delta_checks << " sigma-delta, " << stats.memo_hits
       << " memo hits, " << stats.memo_misses << " memo misses\n";
@@ -504,20 +505,7 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out,
     }
     out << "\n";
     all_consistent = all_consistent && item.result.consistent;
-    total.sigma_delta_checks += item.result.stats.sigma_delta_checks;
-    total.memo_hits += item.result.stats.memo_hits;
-    total.memo_misses += item.result.stats.memo_misses;
-    total.ilp_nodes += item.result.stats.ilp_nodes;
-    total.lp_pivots += item.result.stats.lp_pivots;
-    total.warm_starts += item.result.stats.warm_starts;
-    total.cold_restarts += item.result.stats.cold_restarts;
-    total.num_small_ops += item.result.stats.num_small_ops;
-    total.num_big_ops += item.result.stats.num_big_ops;
-    total.num_promotions += item.result.stats.num_promotions;
-    total.num_demotions += item.result.stats.num_demotions;
-    total.lp_kernel.Add(item.result.stats.lp_kernel);
-    total.arena_bytes += item.result.stats.arena_bytes;
-    total.ilp_wall_ms += item.result.stats.ilp_wall_ms;
+    total.Add(item.result.stats);
   }
   out << "queries:    " << results.size() << "\n";
   if (parsed->flags.count("--stats")) {
@@ -534,11 +522,7 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out,
         << total.lp_pivots << " lp pivots (" << total.warm_starts
         << " warm / " << total.cold_restarts << " cold), ilp "
         << total.ilp_wall_ms << " ms\n";
-    out << "arithmetic: " << total.num_small_ops << " small ops, "
-        << total.num_big_ops << " big ops, " << total.num_promotions
-        << " promotions / " << total.num_demotions << " demotions, arena "
-        << total.arena_bytes << " bytes\n";
-    PrintLpKernel(total.lp_kernel, out);
+    PrintSolveCounters(total, out);
     out << "degraded:   " << degraded.quarantined << " quarantined ("
         << degraded.deadline_exceeded << " deadline, " << degraded.cancelled
         << " cancelled, " << degraded.resource_exhausted << " exhausted), "

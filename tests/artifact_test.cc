@@ -242,6 +242,7 @@ TEST(ArtifactCacheTest, ColdThenMmapThenMemory) {
   auto cold = first.GetOrCompile(dtd);
   ASSERT_TRUE(cold.ok()) << cold.status();
   EXPECT_EQ(cold->source, ArtifactSource::kCold);
+  EXPECT_GT(cold->compiled->compile_ms, 0.0);
   struct stat st;
   EXPECT_EQ(::stat(first.DiskPathFor(dtd).c_str(), &st), 0)
       << "cold compile must persist the artifact";
@@ -260,6 +261,8 @@ TEST(ArtifactCacheTest, ColdThenMmapThenMemory) {
   EXPECT_EQ(warm->source, ArtifactSource::kMmap);
   EXPECT_EQ(CompiledDtdDigest(*warm->compiled),
             CompiledDtdDigest(*cold->compiled));
+  // Loading compiled nothing, so it reports no compile time.
+  EXPECT_EQ(warm->compiled->compile_ms, 0.0);
   EXPECT_EQ(tally.CountFor(Stage::kArtifactLoad), 1u);
   EXPECT_EQ(tally.CountFor(Stage::kArtifactStore), 0u);
 

@@ -212,6 +212,44 @@ TEST_F(CliTest, IdrefsTranslation) {
   EXPECT_NE(out_.str().find("loan.of <= book.isbn"), std::string::npos);
 }
 
+// A memo hit answers without solving, so repeating a query adds nothing to
+// the batch's solve totals: four copies of one FK query report the same
+// nodes and pivots as the query alone, and one Σ-delta check.
+TEST_F(CliTest, BatchMemoHitsAddNoSolveWork) {
+  auto totals = [&](int copies) {
+    const std::string queries_path = dir_ + ".queries";
+    std::string text;
+    for (int i = 0; i < copies; ++i) {
+      if (i > 0) text += "---\n";
+      text += "key teacher(name)\nfk subject(taught_by) => teacher(name)\n";
+    }
+    WriteFile(queries_path, text);
+    EXPECT_EQ(Run({"batch", dtd_path_, queries_path, "--threads", "1",
+                   "--stats"}),
+              0)
+        << err_.str();
+    const std::string out = out_.str();
+    const size_t begin = out.find("totals:");
+    EXPECT_NE(begin, std::string::npos) << out;
+    if (begin == std::string::npos) return std::string();
+    return out.substr(begin, out.find('\n', begin) - begin);
+  };
+  const std::string one = totals(1);
+  const std::string four = totals(4);
+  EXPECT_NE(one.find("1 sigma-delta"), std::string::npos) << one;
+  EXPECT_NE(four.find("1 sigma-delta, 3 memo hits, 1 memo misses"),
+            std::string::npos)
+      << four;
+  // "N ilp nodes, M lp pivots", cut before the warm/cold split and timing.
+  auto search = [](const std::string& line) {
+    const size_t begin = line.find("memo misses, ");
+    if (begin == std::string::npos) return std::string();
+    return line.substr(begin, line.find(" (") - begin);
+  };
+  EXPECT_EQ(search(four), search(one));
+  EXPECT_NE(search(one).find("lp pivots"), std::string::npos) << one;
+}
+
 // ----------------------------------------------- Numeric flag validation.
 // Every numeric flag must reject garbage with exit 2 and a usage hint —
 // never crash, never silently clamp, never run with a nonsense value.

@@ -1,12 +1,23 @@
 // Tests for the case-split conditional solver: sequential vs parallel vs
 // brute-force-oracle agreement on the LIP-hard family, warm-context reuse,
-// and the big-M cross-check.
+// the big-M cross-check, and the solve-counter accounting every layer
+// reports.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "base/arena.h"
+#include "base/num.h"
+#include "core/batch.h"
 #include "core/cardinality_encoding.h"
 #include "core/conditional_solver.h"
 #include "core/consistency.h"
+#include "core/encoding_solver.h"
+#include "core/spec_session.h"
 #include "ilp/simplex.h"
 #include "workloads/generators.h"
 
@@ -179,6 +190,158 @@ TEST(ConditionalSolverTest, PivotCapWithoutStopSignalIsNoVerdict) {
       slack_base, {Conditional{LinearExpr::Var(y), LinearExpr()}}, cold);
   ASSERT_FALSE(at_probe.ok());
   EXPECT_EQ(at_probe.status().code(), StatusCode::kCancelled);
+}
+
+// ---- Solve-counter accounting ---------------------------------------------
+// Every layer reports one SolveCounters block. Two properties pin how it is
+// assembled: each thread's arithmetic and arena traffic is counted exactly
+// once, and a report's pivots always reconcile with the LP kernel's
+// per-rule split.
+
+/// A Theorem 4.7 gadget drawn as the gadget benchmark draws them: 3–5 rows,
+/// 4–8 columns, two ones per row.
+workloads::LipEncoding DrawGadget(std::mt19937_64& rng) {
+  const size_t rows = 3 + rng() % 3;
+  const size_t cols = 4 + rng() % 5;
+  return workloads::EncodeLipAsConsistency(
+      workloads::RandomLip(rng(), rows, cols, /*ones_per_row=*/2));
+}
+
+void ExpectPivotsReconcile(const SolveCounters& c, const std::string& what) {
+  EXPECT_EQ(c.lp_pivots, c.lp_kernel.dantzig_pivots + c.lp_kernel.bland_pivots)
+      << what;
+}
+
+/// Runs `solve` and checks that the thread traffic it reports is exactly
+/// the calling thread's traffic across the call.
+template <class Solve>
+void ExpectTrafficOfCallingThread(const std::string& what, Solve solve) {
+  const NumCounters before = ThisThreadNumCounters();
+  const uint64_t arena_before = ThisThreadArena().total_allocated();
+  Result<IlpSolution> solved = solve();
+  const NumCounters after = ThisThreadNumCounters();
+  const uint64_t arena_after = ThisThreadArena().total_allocated();
+  ASSERT_TRUE(solved.ok()) << what << ": " << solved.status();
+  EXPECT_EQ(solved->num_small_ops, after.small_ops - before.small_ops) << what;
+  EXPECT_EQ(solved->num_big_ops, after.big_ops - before.big_ops) << what;
+  EXPECT_EQ(solved->num_promotions, after.promotions - before.promotions)
+      << what;
+  EXPECT_EQ(solved->num_demotions, after.demotions - before.demotions)
+      << what;
+  EXPECT_EQ(solved->arena_bytes, arena_after - arena_before) << what;
+  ExpectPivotsReconcile(*solved, what);
+}
+
+// Single-threaded, a solve's thread traffic is its caller's, once: the case
+// split's leaf SolveIlp calls and the connectivity rounds add their search
+// counters, never a second copy of the traffic.
+TEST(ConditionalSolverAccountingTest, ThreadTrafficIsCountedOnce) {
+  std::mt19937_64 rng(7);
+  for (int g = 0; g < 32; ++g) {
+    const workloads::LipEncoding spec = DrawGadget(rng);
+    auto enc = BuildCardinalityEncoding(spec.dtd, spec.sigma.Normalize());
+    ASSERT_TRUE(enc.ok()) << enc.status();
+    const std::string tag = " (gadget " + std::to_string(g) + ")";
+    ExpectTrafficOfCallingThread("SolveIlp" + tag,
+                                 [&] { return SolveIlp(enc->system); });
+    ExpectTrafficOfCallingThread("SolveWithConditionals" + tag, [&] {
+      return SolveWithConditionals(enc->system, enc->conditionals);
+    });
+    ExpectTrafficOfCallingThread("SolveEncodingSystem" + tag, [&] {
+      return SolveEncodingSystem(*enc, enc->system, EncodingSolveOptions());
+    });
+  }
+}
+
+// Fresh checks, one-shot sessions and CheckBatch, sequential and with a
+// 4-thread case split: every report's pivots reconcile.
+TEST(ConditionalSolverAccountingTest, PivotsReconcileOnEveryPath) {
+  std::mt19937_64 rng(12345);
+  for (int g = 0; g < 16; ++g) {
+    const workloads::LipEncoding spec = DrawGadget(rng);
+    auto compiled = CompileDtd(spec.dtd);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    for (size_t threads : {1, 4}) {
+      const std::string tag = " (gadget " + std::to_string(g) + ", " +
+                              std::to_string(threads) + " threads)";
+      ConsistencyOptions options;
+      options.build_witness = false;
+      options.ilp.num_threads = threads;
+
+      auto fresh = CheckConsistency(spec.dtd, spec.sigma, options);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      ExpectPivotsReconcile(fresh->stats, "fresh" + tag);
+
+      SpecSession session(*compiled, options, /*memo_capacity=*/0);
+      auto one_shot = session.Check(spec.sigma);
+      ASSERT_TRUE(one_shot.ok()) << one_shot.status();
+      ExpectPivotsReconcile(one_shot->stats, "session" + tag);
+      EXPECT_EQ(one_shot->consistent, fresh->consistent) << tag;
+
+      BatchOptions batch;
+      batch.check = options;
+      std::vector<BatchItemResult> items =
+          CheckBatch(*compiled, {spec.sigma, spec.sigma}, batch);
+      for (const BatchItemResult& item : items) {
+        ASSERT_TRUE(item.status.ok()) << item.status;
+        ExpectPivotsReconcile(item.result.stats, "batch" + tag);
+      }
+    }
+  }
+}
+
+// A check stopped by its deadline reports how far it got; that partial
+// report reconciles too, on the fresh and the session path alike.
+TEST(ConditionalSolverAccountingTest, StoppedChecksReportReconciledPartials) {
+  // Runs `check` under doubling deadlines until one lands mid-search (a
+  // stopped check with pivots done). Slow (sanitizer) builds can spend a
+  // short budget before the first pivot, as in the deadline tests.
+  auto until_stopped_mid_search =
+      [](const std::string& what,
+         const std::function<Result<ConsistencyResult>(
+             Deadline, ConsistencyStats*)>& check) {
+        for (int64_t budget_ms = 5; budget_ms <= 1'600; budget_ms *= 2) {
+          ConsistencyStats partial;
+          Result<ConsistencyResult> result =
+              check(Deadline::After(budget_ms), &partial);
+          const std::string tag = what + ", " + std::to_string(budget_ms) +
+                                  " ms";
+          ExpectPivotsReconcile(result.ok() ? result->stats : partial, tag);
+          if (!result.ok() && partial.lp_pivots > 0) return;
+        }
+        ADD_FAILURE() << what << ": no deadline landed mid-search";
+      };
+  for (uint64_t seed : {3, 5}) {
+    const workloads::LipEncoding spec = workloads::EncodeLipAsConsistency(
+        workloads::RandomLip(seed, /*rows=*/16, /*cols=*/32,
+                             /*ones_per_row=*/3));
+    auto compiled = CompileDtd(spec.dtd);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    for (size_t threads : {1, 4}) {
+      const std::string tag = " (seed " + std::to_string(seed) + ", " +
+                              std::to_string(threads) + " threads";
+      ConsistencyOptions options;
+      options.build_witness = false;
+      options.ilp.num_threads = threads;
+      until_stopped_mid_search(
+          "fresh" + tag, [&](Deadline deadline, ConsistencyStats* partial) {
+            ConsistencyOptions stopped = options;
+            stopped.stop.deadline = deadline;
+            stopped.partial_stats = partial;
+            return CheckConsistency(spec.dtd, spec.sigma, stopped);
+          });
+      until_stopped_mid_search(
+          "session" + tag, [&](Deadline deadline, ConsistencyStats* partial) {
+            SpecSession session(*compiled, options, /*memo_capacity=*/0);
+            StopSignal stop;
+            stop.deadline = deadline;
+            session.SetStop(stop);
+            Result<ConsistencyResult> result = session.Check(spec.sigma);
+            *partial = session.LastPartialStats();
+            return result;
+          });
+    }
+  }
 }
 
 }  // namespace

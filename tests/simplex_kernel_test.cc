@@ -59,7 +59,7 @@ TEST(AntiCyclingTest, PureDantzigCyclesOnTheFixture) {
   EXPECT_TRUE(lp.pivot_cap_hit);
   EXPECT_TRUE(lp.aborted);
   EXPECT_EQ(lp.pivots, 1000u);
-  EXPECT_EQ(lp.bland_fallbacks, 0u);
+  EXPECT_EQ(lp.kernel.bland_fallbacks, 0u);
 }
 
 TEST(AntiCyclingTest, DegeneracyFallbackTerminatesTheFixture) {
@@ -69,9 +69,9 @@ TEST(AntiCyclingTest, DegeneracyFallbackTerminatesTheFixture) {
   EXPECT_TRUE(lp.feasible);  // x = 0 satisfies every row.
   // The degeneracy streak must actually have fired the fallback, and the
   // fallback's Bland pivots finished the solve.
-  EXPECT_GE(lp.bland_fallbacks, 1u);
-  EXPECT_GE(lp.bland_pivots, 1u);
-  EXPECT_EQ(lp.pivots, lp.dantzig_pivots + lp.bland_pivots);
+  EXPECT_GE(lp.kernel.bland_fallbacks, 1u);
+  EXPECT_GE(lp.kernel.bland_pivots, 1u);
+  EXPECT_EQ(lp.pivots, lp.kernel.dantzig_pivots + lp.kernel.bland_pivots);
 }
 
 TEST(AntiCyclingTest, BlandOnlyConfigTerminatesTheFixture) {
@@ -82,8 +82,8 @@ TEST(AntiCyclingTest, BlandOnlyConfigTerminatesTheFixture) {
   LpResult lp = SolveLpFeasibility(sys);
   ASSERT_FALSE(lp.aborted);
   EXPECT_TRUE(lp.feasible);
-  EXPECT_EQ(lp.dantzig_pivots, 0u);
-  EXPECT_EQ(lp.pivots, lp.bland_pivots);
+  EXPECT_EQ(lp.kernel.dantzig_pivots, 0u);
+  EXPECT_EQ(lp.pivots, lp.kernel.bland_pivots);
 }
 
 TEST(AntiCyclingTest, DenseReferenceAgreesOnTheFixture) {
@@ -168,7 +168,8 @@ TEST(SimplexDifferentialTest, SparseKernelMatchesDenseBlandOnRandomSystems) {
       ++infeasible;
     }
     // The split instrumentation must always reconcile with the total.
-    ASSERT_EQ(sparse.pivots, sparse.dantzig_pivots + sparse.bland_pivots)
+    ASSERT_EQ(sparse.pivots,
+              sparse.kernel.dantzig_pivots + sparse.kernel.bland_pivots)
         << "trial " << trial;
   }
   // Both verdicts must actually be exercised, or the generator is broken.
@@ -290,12 +291,12 @@ TEST(SparseKernelStatsTest, DensityCountersMatchTheSystem) {
 
   LpResult lp = SolveLpFeasibility(sys);
   ASSERT_TRUE(lp.feasible);
-  EXPECT_EQ(lp.total_cells, 12u);
-  EXPECT_EQ(lp.nnz_cells, 7u);
+  EXPECT_EQ(lp.kernel.total_cells, 12u);
+  EXPECT_EQ(lp.kernel.nnz_cells, 7u);
   EXPECT_EQ(sys.NumNonzeros(), 4u);
   // These tiny coefficients never leave the int64 fast lane.
-  EXPECT_EQ(lp.fast_row_promotions, 0u);
-  EXPECT_GT(lp.fast_rows, 0u);
+  EXPECT_EQ(lp.kernel.fast_row_promotions, 0u);
+  EXPECT_GT(lp.kernel.fast_rows, 0u);
 }
 
 TEST(SparseKernelStatsTest, ScopedPricingConfigRestores) {

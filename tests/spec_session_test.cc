@@ -209,11 +209,24 @@ TEST(SpecSessionTest, MemoHitsAndEviction) {
   EXPECT_EQ(again->stats.memo_hits, 1u);
   EXPECT_EQ(again->stats.compile_ms, 0.0);
 
+  // A repeated FK query solves once; the hit reports none of that solve.
+  auto solved = session.Check(b);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_GT(solved->stats.lp_pivots, 0u);
+  EXPECT_EQ(solved->stats.sigma_delta_checks, 1u);
+  auto hit = session.Check(b);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->consistent, solved->consistent);
+  EXPECT_EQ(hit->stats.memo_hits, 1u);
+  EXPECT_EQ(hit->stats.memo_misses, 0u);
+  EXPECT_EQ(hit->stats.lp_pivots, 0u);
+  EXPECT_EQ(hit->stats.ilp_nodes, 0u);
+  EXPECT_EQ(hit->stats.sigma_delta_checks, 0u);
+
   // Capacity 2: a third distinct key evicts the least recently used.
-  ASSERT_TRUE(session.Check(b).ok());
   ASSERT_TRUE(session.Check(c).ok());
   EXPECT_GE(session.stats().memo_evictions, 1u);
-  EXPECT_EQ(session.stats().queries, 4u);
+  EXPECT_EQ(session.stats().queries, 5u);
 }
 
 TEST(SpecSessionTest, MemoKeyIsCanonical) {
