@@ -10,13 +10,14 @@ namespace {
 
 /// FNV-1a, 64-bit.
 struct Digest {
+  static constexpr uint64_t kPrime = 1099511628211ull;
   uint64_t state = 14695981039346656037ull;
 
   void Bytes(const void* data, size_t n) {
     const unsigned char* p = static_cast<const unsigned char*>(data);
     for (size_t i = 0; i < n; ++i) {
       state ^= p[i];
-      state *= 1099511628211ull;
+      state *= kPrime;
     }
   }
   void Str(const std::string& s) {
@@ -24,6 +25,18 @@ struct Digest {
     Bytes(s.data(), s.size());
   }
   void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  /// Folds `count` × U64(0) in O(log count). A zero byte's xor is a no-op,
+  /// so each U64(0) multiplies the state by kPrime⁸, and a run of them by
+  /// (kPrime⁸)^count mod 2⁶⁴ (square-and-multiply).
+  void Zeros(uint64_t count) {
+    uint64_t base = kPrime * kPrime;
+    base *= base;
+    base *= base;
+    for (; count != 0; count >>= 1) {
+      if (count & 1) state *= base;
+      base *= base;
+    }
+  }
 };
 
 }  // namespace
@@ -58,18 +71,22 @@ uint64_t CompiledDtdDigest(const CompiledDtd& compiled) {
   d.U64(tab.basis.size());
   for (int b : tab.basis) d.U64(static_cast<uint64_t>(static_cast<int64_t>(b)));
   for (const Num& r : tab.rhs) d.Str(r.ToString());
-  // Rows fold in densely, one mark per column (and the value of each
-  // nonzero), so the digest does not depend on how rows are stored. Cells a
-  // well-formed row cannot hold — out of order or past the width — still
-  // fold in afterwards, so writing one through the artifact is caught too.
+  // Rows fold in as if dense, one mark per column (and the value of each
+  // nonzero), so the digest does not depend on how rows are stored; a run of
+  // absent cells folds in one step. Cells a well-formed row cannot hold —
+  // out of order or past the width — still fold in afterwards, so writing
+  // one through the artifact is caught too.
+  const int64_t width = static_cast<int64_t>(tab.columns.size());
   for (const LpRow& row : tab.rows) {
     size_t k = 0;
-    for (size_t c = 0; c < tab.columns.size(); ++c) {
-      const bool listed =
-          k < row.size() && row.cols[k] == static_cast<int>(c);
-      if (listed) d.Str(row.vals[k++].ToString());
-      d.U64(listed ? 1 : 0);
+    int64_t c = 0;  // Next column of the dense walk.
+    for (; k < row.size() && row.cols[k] >= c && row.cols[k] < width; ++k) {
+      d.Zeros(static_cast<uint64_t>(row.cols[k] - c));
+      d.Str(row.vals[k].ToString());
+      d.U64(1);
+      c = row.cols[k] + 1;
     }
+    d.Zeros(static_cast<uint64_t>(width - c));
     for (; k < row.size(); ++k) {
       d.U64(static_cast<uint64_t>(static_cast<int64_t>(row.cols[k])));
       d.Str(row.vals[k].ToString());

@@ -29,7 +29,7 @@ struct CompiledDtd {
   /// Owning copy of the source DTD (regex ASTs are shared RegexPtr nodes,
   /// so pointer-keyed tables below stay valid for this copy).
   Dtd dtd;
-  /// Linear-time grammar facts: productive/reachable sets, emptiness,
+  /// Section 3 grammar facts: productive/reachable sets, emptiness,
   /// Lemma 3.6 multiplicities.
   DtdFacts facts;
   /// Frozen Glushkov DFAs, one per content model (thread-safe matching).

@@ -1,168 +1,180 @@
 #include "dtd/analysis.h"
 
-#include <deque>
-#include <functional>
-#include <map>
+#include <algorithm>
+#include <string_view>
 #include <vector>
 
 namespace xicc {
 
 namespace {
 
-/// Worklist propagation over the and/or graph formed by the content-model
-/// ASTs: a regex node is *derivable* when it can produce some word over
-/// productive symbols; an element type is *productive* when its content root
-/// is derivable. `banned` types are treated as never-productive (used to
-/// decide avoidability in TypeIsUnavoidable).
-std::set<std::string> ProductiveImpl(const Dtd& dtd,
-                                     const std::string& banned) {
-  struct AstNode {
-    Regex::Kind kind;
-    int left = -1;   // AST child ids for union/concat.
-    int right = -1;
-    std::string elem;        // For kElement: referenced type.
-    int parent = -1;         // Dependent AST node.
-    std::string owner;       // Element type whose P(τ) this AST belongs to.
-    bool is_content_root = false;
-    bool derivable = false;
-    int pending = 0;  // For kConcat: children still unknown.
-  };
+/// One content-model AST node of the grammar graph. Ids index
+/// GrammarGraph::nodes; element ids index Dtd::elements().
+struct GrammarNode {
+  Regex::Kind kind;
+  int left = -1;    ///< Union/concat: left operand; star: its operand.
+  int right = -1;   ///< Union/concat: right operand.
+  int parent = -1;  ///< -1 at a content root.
+  int owner = -1;   ///< Element whose content model holds this node.
+  int elem = -1;    ///< kElement: the referenced element.
+};
 
-  std::vector<AstNode> nodes;
-  std::map<std::string, std::vector<int>> elem_leaves;  // type -> leaf ids.
-  std::map<std::string, int> content_root;              // type -> root id.
+/// The content models of a DTD as one interned and/or graph: element types
+/// become ids in declaration order, and every AST node becomes one entry of a
+/// flat array. Nodes are numbered in preorder, one content model after
+/// another, so P(τ) is the id range [content_root[τ], content_root[τ + 1]).
+/// Built iteratively, so deep content models cannot exhaust the stack.
+struct GrammarGraph {
+  explicit GrammarGraph(const Dtd& dtd) : names(dtd.elements()) {
+    for (int e = 0; e < NumElements(); ++e) ids.emplace_back(names[e], e);
+    std::sort(ids.begin(), ids.end());
+    root = IdOf(dtd.root());
 
-  std::function<int(const Regex&, const std::string&)> build =
-      [&](const Regex& regex, const std::string& owner) -> int {
-    int id = static_cast<int>(nodes.size());
-    nodes.emplace_back();
-    nodes[id].kind = regex.kind();
-    nodes[id].owner = owner;
-    switch (regex.kind()) {
-      case Regex::Kind::kElement:
-        nodes[id].elem = regex.name();
-        elem_leaves[regex.name()].push_back(id);
-        break;
-      case Regex::Kind::kUnion:
-      case Regex::Kind::kConcat: {
-        int left = build(*regex.left(), owner);
-        int right = build(*regex.right(), owner);
-        nodes[id].left = left;
-        nodes[id].right = right;
-        nodes[left].parent = id;
-        nodes[right].parent = id;
-        nodes[id].pending = 2;
-        break;
-      }
-      case Regex::Kind::kStar: {
-        // Star derives ε regardless of its child; the child subtree is
-        // built only so ids stay consistent, but contributes nothing here.
-        break;
-      }
-      case Regex::Kind::kEpsilon:
-      case Regex::Kind::kString:
-        break;
-    }
-    return id;
-  };
-
-  for (const std::string& type : dtd.elements()) {
-    int root = build(*dtd.ContentOf(type), type);
-    nodes[root].is_content_root = true;
-    content_root[type] = root;
-  }
-
-  std::set<std::string> productive;
-  std::deque<int> queue;
-
-  auto mark_derivable = [&](int id) {
-    if (nodes[id].derivable) return;
-    nodes[id].derivable = true;
-    queue.push_back(id);
-  };
-
-  // Seeds: ε, S, and α* derive words immediately.
-  for (size_t id = 0; id < nodes.size(); ++id) {
-    Regex::Kind kind = nodes[id].kind;
-    if (kind == Regex::Kind::kEpsilon || kind == Regex::Kind::kString ||
-        kind == Regex::Kind::kStar) {
-      mark_derivable(static_cast<int>(id));
-    }
-  }
-
-  auto on_type_productive = [&](const std::string& type) {
-    if (type == banned) return;
-    if (!productive.insert(type).second) return;
-    auto it = elem_leaves.find(type);
-    if (it == elem_leaves.end()) return;
-    for (int leaf : it->second) mark_derivable(leaf);
-  };
-
-  while (!queue.empty()) {
-    int id = queue.front();
-    queue.pop_front();
-    const AstNode& node = nodes[id];
-    if (node.is_content_root) on_type_productive(node.owner);
-    int parent = node.parent;
-    if (parent < 0) continue;
-    if (nodes[parent].kind == Regex::Kind::kUnion) {
-      mark_derivable(parent);
-    } else {  // kConcat
-      if (--nodes[parent].pending == 0) mark_derivable(parent);
-    }
-  }
-  return productive;
-}
-
-}  // namespace
-
-std::set<std::string> ProductiveElements(const Dtd& dtd) {
-  return ProductiveImpl(dtd, /*banned=*/"");
-}
-
-bool DtdHasValidTree(const Dtd& dtd) {
-  return ProductiveElements(dtd).count(dtd.root()) > 0;
-}
-
-std::set<std::string> ReachableElements(const Dtd& dtd) {
-  std::set<std::string> reachable;
-  std::deque<std::string> queue;
-  reachable.insert(dtd.root());
-  queue.push_back(dtd.root());
-
-  std::function<void(const Regex&, std::deque<std::string>*,
-                     std::set<std::string>*)>
-      visit = [&](const Regex& node, std::deque<std::string>* q,
-                  std::set<std::string>* seen) {
-        switch (node.kind()) {
+    std::vector<std::pair<const Regex*, int>> stack;  // (AST node, parent id)
+    for (int e = 0; e < NumElements(); ++e) {
+      content_root.push_back(NumNodes());
+      stack.emplace_back(dtd.ContentOf(names[e]).get(), -1);
+      while (!stack.empty()) {
+        const auto [regex, up] = stack.back();
+        stack.pop_back();
+        const int id = NumNodes();
+        GrammarNode node{regex->kind()};
+        node.parent = up;
+        node.owner = e;
+        if (up >= 0) {
+          // The left operand is pushed last, so it (and its whole subtree)
+          // is numbered before the right one.
+          (nodes[up].left < 0 ? nodes[up].left : nodes[up].right) = id;
+        }
+        switch (regex->kind()) {
           case Regex::Kind::kElement:
-            if (seen->insert(node.name()).second) q->push_back(node.name());
+            node.elem = IdOf(regex->name());
             break;
           case Regex::Kind::kUnion:
           case Regex::Kind::kConcat:
-            visit(*node.left(), q, seen);
-            visit(*node.right(), q, seen);
+            stack.emplace_back(regex->right().get(), id);
+            stack.emplace_back(regex->left().get(), id);
             break;
           case Regex::Kind::kStar:
-            visit(*node.child(), q, seen);
+            stack.emplace_back(regex->child().get(), id);
             break;
-          default:
+          case Regex::Kind::kEpsilon:
+          case Regex::Kind::kString:
             break;
         }
-      };
-
-  while (!queue.empty()) {
-    std::string type = queue.front();
-    queue.pop_front();
-    visit(*dtd.ContentOf(type), &queue, &reachable);
+        nodes.push_back(node);
+      }
+    }
+    content_root.push_back(NumNodes());
+    leaves.resize(names.size());
+    for (int id = 0; id < NumNodes(); ++id) {
+      if (nodes[id].elem >= 0) leaves[nodes[id].elem].push_back(id);
+    }
   }
-  return reachable;
+
+  int NumNodes() const { return static_cast<int>(nodes.size()); }
+  int NumElements() const { return static_cast<int>(names.size()); }
+
+  /// The element id of `type`, or -1 when it is not declared.
+  int IdOf(std::string_view type) const {
+    auto it = std::lower_bound(ids.begin(), ids.end(), std::pair(type, -1));
+    return it != ids.end() && it->first == type ? it->second : -1;
+  }
+
+  /// The names of the elements `member` flags.
+  std::set<std::string> Names(const std::vector<char>& member) const {
+    std::set<std::string> out;
+    for (int e = 0; e < NumElements(); ++e) {
+      if (member[e]) out.insert(names[e]);
+    }
+    return out;
+  }
+
+  /// Element id → type name, and the (name, id) pairs sorted by name.
+  const std::vector<std::string>& names;
+  std::vector<std::pair<std::string_view, int>> ids;
+  int root = 0;
+  std::vector<GrammarNode> nodes;
+  /// Element id → the first node of its content model.
+  std::vector<int> content_root;
+  /// Element id → the kElement nodes naming it.
+  std::vector<std::vector<int>> leaves;
+};
+
+/// Which nodes derive some word over productive symbols, and which element
+/// types are productive (their content root is derivable).
+struct Derivability {
+  std::vector<char> node;
+  std::vector<char> element;
+};
+
+/// Worklist propagation over the and/or graph: ε, S and α* derive words
+/// outright, a union once either operand does, a concat once both do, and a
+/// leaf once the element it names is productive. The `banned` element (-1
+/// for none) is never productive; TypeIsUnavoidable uses this to ask whether
+/// the root can derive a tree avoiding it.
+Derivability Derive(const GrammarGraph& g, int banned) {
+  Derivability d{std::vector<char>(g.NumNodes(), 0),
+                 std::vector<char>(g.NumElements(), 0)};
+  std::vector<int> pending(g.NumNodes(), 0);  // Concat: operands still open.
+  std::vector<int> work;
+  auto mark = [&](int id) {
+    if (d.node[id]) return;
+    d.node[id] = 1;
+    work.push_back(id);
+  };
+  for (int id = 0; id < g.NumNodes(); ++id) {
+    switch (g.nodes[id].kind) {
+      case Regex::Kind::kEpsilon:
+      case Regex::Kind::kString:
+      case Regex::Kind::kStar:
+        mark(id);
+        break;
+      case Regex::Kind::kConcat:
+        pending[id] = 2;
+        break;
+      default:
+        break;
+    }
+  }
+  while (!work.empty()) {
+    const GrammarNode& node = g.nodes[work.back()];
+    work.pop_back();
+    if (node.parent < 0) {
+      if (node.owner == banned) continue;
+      d.element[node.owner] = 1;
+      for (int leaf : g.leaves[node.owner]) mark(leaf);
+      continue;
+    }
+    const Regex::Kind up = g.nodes[node.parent].kind;
+    if (up == Regex::Kind::kUnion ||
+        (up == Regex::Kind::kConcat && --pending[node.parent] == 0)) {
+      mark(node.parent);
+    }
+  }
+  return d;
 }
 
-namespace {
+std::vector<char> Reachable(const GrammarGraph& g) {
+  std::vector<char> seen(g.NumElements(), 0);
+  std::vector<int> work{g.root};
+  seen[g.root] = 1;
+  while (!work.empty()) {
+    const int e = work.back();
+    work.pop_back();
+    for (int id = g.content_root[e]; id < g.content_root[e + 1]; ++id) {
+      const int child = g.nodes[id].elem;
+      if (child >= 0 && !seen[child]) {
+        seen[child] = 1;
+        work.push_back(child);
+      }
+    }
+  }
+  return seen;
+}
 
 /// Lattice for occurrence counting: kBottom (< 0) means "derives no tree";
-/// otherwise the max number of `target` elements in one derivable tree,
+/// otherwise the max number of target elements in one derivable tree,
 /// saturated at 2.
 constexpr int kBottom = -1;
 
@@ -171,126 +183,115 @@ int SatAdd(int a, int b) {
   return std::min(2, a + b);
 }
 
-}  // namespace
-
-Multiplicity MaxMultiplicity(const Dtd& dtd, const std::string& type) {
-  // Worklist fixpoint over element values: elem_val(σ) = [σ == type] +
-  // val(P(σ)), with regex values per the lattice kBottom < 0 < 1 < 2.
-  // Values only increase and are drawn from a 4-element chain, so the total
-  // number of recomputations is linear in |D| — this is what keeps the
-  // Lemma 3.6 / Theorem 3.5(3) analyses linear on deep grammars.
-  struct AstNode {
-    Regex::Kind kind;
-    int left = -1;
-    int right = -1;
-    std::string elem;
-    int parent = -1;
-    std::string owner;
-    bool is_content_root = false;
-    int value = kBottom;
-  };
-
-  std::vector<AstNode> nodes;
-  std::map<std::string, std::vector<int>> elem_leaves;
-  std::map<std::string, int> elem_val;
-  for (const std::string& e : dtd.elements()) elem_val[e] = kBottom;
-
-  std::function<int(const Regex&, const std::string&)> build =
-      [&](const Regex& regex, const std::string& owner) -> int {
-    int id = static_cast<int>(nodes.size());
-    nodes.emplace_back();
-    nodes[id].kind = regex.kind();
-    nodes[id].owner = owner;
-    switch (regex.kind()) {
-      case Regex::Kind::kElement:
-        nodes[id].elem = regex.name();
-        elem_leaves[regex.name()].push_back(id);
-        break;
-      case Regex::Kind::kUnion:
-      case Regex::Kind::kConcat: {
-        int left = build(*regex.left(), owner);
-        int right = build(*regex.right(), owner);
-        nodes[id].left = left;
-        nodes[id].right = right;
-        nodes[left].parent = id;
-        nodes[right].parent = id;
-        break;
-      }
-      case Regex::Kind::kStar: {
-        int child = build(*regex.child(), owner);
-        nodes[id].left = child;
-        nodes[child].parent = id;
-        break;
-      }
-      default:
-        break;
+/// The Lemma 3.6 fixpoint, one target type per Run, on buffers reused across
+/// runs. Element values are elem(σ) = [σ == target] + val(P(σ)) and regex
+/// values follow the lattice kBottom < 0 < 1 < 2. Bottom is exactly
+/// non-derivability whatever the target, so every run starts from the
+/// target-free fixpoint (0 where derivable, kBottom elsewhere) and only
+/// raises values: at most two raises per node, O(|D|) per run.
+class MultiplicityPass {
+ public:
+  MultiplicityPass(const GrammarGraph& g, const Derivability& d)
+      : g_(g), productive_(d.element) {
+    base_node_.resize(g.NumNodes());
+    for (int id = 0; id < g.NumNodes(); ++id) {
+      base_node_[id] = d.node[id] ? 0 : kBottom;
     }
-    return id;
-  };
-  std::map<std::string, int> content_root;
-  for (const std::string& e : dtd.elements()) {
-    int root = build(*dtd.ContentOf(e), e);
-    nodes[root].is_content_root = true;
-    content_root[e] = root;
+    base_element_.resize(g.NumElements());
+    for (int e = 0; e < g.NumElements(); ++e) {
+      base_element_[e] = d.element[e] ? 0 : kBottom;
+    }
   }
 
-  std::deque<int> queue;
-  // Recomputes a node's value from its inputs; enqueues on increase.
-  auto refresh = [&](int id) {
-    AstNode& node = nodes[id];
-    int value = node.value;
+  Multiplicity Run(int target) {
+    // An unproductive target occurs in no tree, and an unproductive root
+    // has no tree at all.
+    if (target < 0 || !productive_[target] || !productive_[g_.root]) {
+      return Multiplicity::kNone;
+    }
+    node_ = base_node_;
+    element_ = base_element_;
+    Raise(target, 1);
+    while (!work_.empty()) {
+      const int id = work_.back();
+      work_.pop_back();
+      const GrammarNode& node = g_.nodes[id];
+      if (node.parent >= 0) {
+        Refresh(node.parent);
+      } else {
+        Raise(node.owner, SatAdd(node_[id], node.owner == target ? 1 : 0));
+      }
+    }
+    const int result = element_[g_.root];
+    if (result <= 0) return Multiplicity::kNone;
+    if (result == 1) return Multiplicity::kExactlyOne;
+    return Multiplicity::kAtLeastTwo;
+  }
+
+ private:
+  void Raise(int e, int value) {
+    if (value <= element_[e]) return;
+    element_[e] = value;
+    for (int leaf : g_.leaves[e]) Refresh(leaf);
+  }
+
+  /// Recomputes a node's value from its inputs; queues it when it rose.
+  void Refresh(int id) {
+    const GrammarNode& node = g_.nodes[id];
+    int value = node_[id];
     switch (node.kind) {
-      case Regex::Kind::kEpsilon:
-      case Regex::Kind::kString:
-        value = 0;
-        break;
       case Regex::Kind::kElement:
-        value = elem_val[node.elem];
+        value = element_[node.elem];
         break;
       case Regex::Kind::kUnion:
-        value = std::max(nodes[node.left].value, nodes[node.right].value);
+        value = std::max(node_[node.left], node_[node.right]);
         break;
       case Regex::Kind::kConcat:
-        value = SatAdd(nodes[node.left].value, nodes[node.right].value);
+        value = SatAdd(node_[node.left], node_[node.right]);
         break;
       case Regex::Kind::kStar:
-        value = nodes[node.left].value >= 1 ? 2 : 0;
+        value = node_[node.left] >= 1 ? 2 : 0;
+        break;
+      case Regex::Kind::kEpsilon:
+      case Regex::Kind::kString:
         break;
     }
-    if (value > node.value) {
-      node.value = value;
-      queue.push_back(id);
+    if (value > node_[id]) {
+      node_[id] = value;
+      work_.push_back(id);
     }
-  };
-  for (size_t id = 0; id < nodes.size(); ++id) {
-    refresh(static_cast<int>(id));
   }
 
-  auto on_type_update = [&](const std::string& e) {
-    int root_value = nodes[content_root[e]].value;
-    int value = root_value == kBottom
-                    ? kBottom
-                    : SatAdd(root_value, e == type ? 1 : 0);
-    if (value > elem_val[e]) {
-      elem_val[e] = value;
-      auto it = elem_leaves.find(e);
-      if (it != elem_leaves.end()) {
-        for (int leaf : it->second) refresh(leaf);
-      }
-    }
-  };
+  const GrammarGraph& g_;
+  const std::vector<char>& productive_;
+  std::vector<int> base_node_;
+  std::vector<int> base_element_;
+  std::vector<int> node_;
+  std::vector<int> element_;
+  std::vector<int> work_;
+};
 
-  while (!queue.empty()) {
-    int id = queue.front();
-    queue.pop_front();
-    if (nodes[id].is_content_root) on_type_update(nodes[id].owner);
-    if (nodes[id].parent >= 0) refresh(nodes[id].parent);
-  }
+}  // namespace
 
-  int result = elem_val[dtd.root()];
-  if (result <= 0) return Multiplicity::kNone;
-  if (result == 1) return Multiplicity::kExactlyOne;
-  return Multiplicity::kAtLeastTwo;
+std::set<std::string> ProductiveElements(const Dtd& dtd) {
+  const GrammarGraph graph(dtd);
+  return graph.Names(Derive(graph, /*banned=*/-1).element);
+}
+
+bool DtdHasValidTree(const Dtd& dtd) {
+  const GrammarGraph graph(dtd);
+  return Derive(graph, /*banned=*/-1).element[graph.root];
+}
+
+std::set<std::string> ReachableElements(const Dtd& dtd) {
+  const GrammarGraph graph(dtd);
+  return graph.Names(Reachable(graph));
+}
+
+Multiplicity MaxMultiplicity(const Dtd& dtd, const std::string& type) {
+  const GrammarGraph graph(dtd);
+  const Derivability derivable = Derive(graph, /*banned=*/-1);
+  return MultiplicityPass(graph, derivable).Run(graph.IdOf(type));
 }
 
 bool CanHaveTwo(const Dtd& dtd, const std::string& type) {
@@ -298,11 +299,25 @@ bool CanHaveTwo(const Dtd& dtd, const std::string& type) {
 }
 
 bool TypeIsUnavoidable(const Dtd& dtd, const std::string& type) {
-  if (!DtdHasValidTree(dtd)) return false;
+  const GrammarGraph graph(dtd);
+  if (!Derive(graph, /*banned=*/-1).element[graph.root]) return false;
   // The root derives a type-free tree iff the root is productive in the
   // grammar where `type` is banned.
-  std::set<std::string> avoiding = ProductiveImpl(dtd, type);
-  return avoiding.count(dtd.root()) == 0;
+  return !Derive(graph, graph.IdOf(type)).element[graph.root];
+}
+
+DtdFacts ComputeDtdFacts(const Dtd& dtd) {
+  const GrammarGraph graph(dtd);
+  const Derivability derivable = Derive(graph, /*banned=*/-1);
+  DtdFacts facts;
+  facts.productive = graph.Names(derivable.element);
+  facts.reachable = graph.Names(Reachable(graph));
+  facts.has_valid_tree = derivable.element[graph.root];
+  MultiplicityPass pass(graph, derivable);
+  for (int e = 0; e < graph.NumElements(); ++e) {
+    facts.multiplicity.emplace(graph.names[e], pass.Run(e));
+  }
+  return facts;
 }
 
 }  // namespace xicc

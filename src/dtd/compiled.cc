@@ -2,17 +2,6 @@
 
 namespace xicc {
 
-DtdFacts ComputeDtdFacts(const Dtd& dtd) {
-  DtdFacts facts;
-  facts.productive = ProductiveElements(dtd);
-  facts.reachable = ReachableElements(dtd);
-  facts.has_valid_tree = DtdHasValidTree(dtd);
-  for (const std::string& type : dtd.elements()) {
-    facts.multiplicity[type] = MaxMultiplicity(dtd, type);
-  }
-  return facts;
-}
-
 CompiledContentModels CompiledContentModels::Build(const Dtd& dtd,
                                                    size_t max_states) {
   CompiledContentModels out;

@@ -2,7 +2,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "dtd/analysis.h"
@@ -10,18 +9,6 @@
 #include "dtd/glushkov.h"
 
 namespace xicc {
-
-/// The linear-time grammar facts of Section 3, computed once per DTD and
-/// shared read-only across queries and threads (Theorem 3.5(1), Lemma 3.6).
-struct DtdFacts {
-  std::set<std::string> productive;
-  std::set<std::string> reachable;
-  bool has_valid_tree = false;
-  /// Lemma 3.6 multiplicity per declared element type.
-  std::map<std::string, Multiplicity> multiplicity;
-};
-
-DtdFacts ComputeDtdFacts(const Dtd& dtd);
 
 /// One Glushkov matcher per element type, frozen into an immutable DFA so a
 /// single instance can serve concurrent validations. Content models whose

@@ -21,6 +21,7 @@
 #include "ilp/linear_system.h"
 #include "ilp/simplex.h"
 #include "workloads/generators.h"
+#include "workloads/paper_examples.h"
 
 namespace xicc {
 namespace {
@@ -336,6 +337,56 @@ TEST(AuditCompiledDtdTest, DetectsMutationOfTheSharedArtifact) {
   EXPECT_FALSE(AuditCompiledDtd(artifact).empty());
   artifact.audit_digest = stamp;
   EXPECT_TRUE(AuditCompiledDtd(artifact).empty());
+}
+
+TEST(AuditCompiledDtdTest, DigestValuesArePinned) {
+  // Every artifact stores its digest (audit_digest) and a deep verify
+  // recomputes it, so the digest of a compiled bundle must never change
+  // with how it is computed. Cell runs fold in as if rows were dense.
+  struct Pinned {
+    std::string name;
+    Dtd dtd;
+    uint64_t digest;
+  };
+  const std::vector<Pinned> cases = {
+      {"catalog-8", workloads::CatalogDtd(8), 12762461058084202606ull},
+      {"auction-4", workloads::AuctionDtd(4), 13321569864539030253ull},
+      {"teacher", workloads::TeacherDtd(), 7066654727565621088ull},
+      // No valid tree: an empty, invalid skeleton basis.
+      {"infinite", workloads::InfiniteDtd(), 11602444076047820333ull},
+      {"gadget-3x4",
+       workloads::EncodeLipAsConsistency(
+           workloads::RandomLip(/*seed=*/1, /*rows=*/3, /*cols=*/4,
+                                /*ones_per_row=*/2))
+           .dtd,
+       14562259463608967463ull},
+  };
+  for (const Pinned& pinned : cases) {
+    auto compiled = CompileDtd(pinned.dtd);
+    ASSERT_TRUE(compiled.ok()) << pinned.name << ": " << compiled.status();
+    EXPECT_EQ(CompiledDtdDigest(**compiled), pinned.digest) << pinned.name;
+    EXPECT_EQ((*compiled)->audit_digest, pinned.digest) << pinned.name;
+  }
+
+  // Cells a well-formed row cannot hold fold in exactly as before too: an
+  // out-of-order cell and one past the tableau width, written through the
+  // shared artifact as DetectsMutationOfTheSharedArtifact does.
+  auto compiled = CompileDtd(workloads::CatalogDtd(2));
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  CompiledDtd& artifact = const_cast<CompiledDtd&>(**compiled);
+  ASSERT_TRUE(artifact.skeleton_tableau_valid);
+  auto& rows = artifact.skeleton_tableau.rows;
+  auto it = std::find_if(rows.begin(), rows.end(), [](const LpRow& row) {
+    return row.size() > 0 && row.cols.back() > 0;
+  });
+  ASSERT_NE(it, rows.end());
+  LpRow& row = *it;
+  const int width = static_cast<int>(artifact.skeleton_tableau.columns.size());
+  row.cols.push_back(0);  // Out of order.
+  row.vals.push_back(Num(3));
+  row.cols.push_back(width + 2);  // Past the width.
+  row.vals.push_back(Num(-7));
+  EXPECT_EQ(CompiledDtdDigest(artifact), 16923468096605515630ull);
 }
 
 TEST(AuditCompiledDtdTest, SkeletonTableauSatisfiesTheTableauAuditor) {
