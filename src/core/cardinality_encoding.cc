@@ -41,7 +41,8 @@ std::set<std::pair<std::string, std::string>> MentionedPairs(
   std::set<std::pair<std::string, std::string>> mentioned;
   for (const Constraint& c : sigma.constraints()) {
     mentioned.emplace(c.type1, c.attrs1[0]);
-    if (c.kind == ConstraintKind::kInclusion) {
+    if (c.kind == ConstraintKind::kInclusion ||
+        c.kind == ConstraintKind::kNegInclusion) {
       mentioned.emplace(c.type2, c.attrs2[0]);
     }
   }

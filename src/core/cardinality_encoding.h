@@ -67,7 +67,8 @@ struct CardinalityEncoding {
 Status CheckEncodable(const ConstraintSet& sigma);
 
 /// The attribute pairs (τ,l) a normalized unary `sigma` mentions — both
-/// sides of each inclusion — i.e. the pairs that carry C_Σ rows.
+/// sides of each inclusion and negated inclusion — i.e. the pairs that
+/// carry C_Σ rows, region rows and conditionals.
 std::set<std::pair<std::string, std::string>> MentionedPairs(
     const ConstraintSet& sigma);
 

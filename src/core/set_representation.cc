@@ -26,45 +26,56 @@ class UnionFind {
   std::vector<size_t> parent_;
 };
 
-}  // namespace
-
-Result<SetRepresentationEncoding> BuildSetRepresentation(
-    const Dtd& dtd, const ConstraintSet& sigma,
-    const SetRepresentationOptions& options) {
-  // Split Σ = Σ1 ∪ Σ2: Σ1 feeds the cardinality encoding, Σ2 holds the
-  // negated inclusions that need the set representation.
-  ConstraintSet sigma1;
-  std::vector<Constraint> neg_inclusions;
+/// The precondition of Ψ'(D,Σ): normalized and unary.
+Status CheckRegionEncodable(const ConstraintSet& sigma) {
   for (const Constraint& c : sigma.constraints()) {
     if (c.kind == ConstraintKind::kForeignKey) {
       return Status::InvalidArgument(
-          "BuildSetRepresentation expects a normalized constraint set");
+          "the region system expects a normalized constraint set");
     }
     if (!c.IsUnary()) {
       return Status::InvalidArgument("constraint '" + c.ToString() +
                                      "' is not unary");
     }
-    if (c.kind == ConstraintKind::kNegInclusion) {
-      neg_inclusions.push_back(c);
-    } else {
-      sigma1.Add(c);
-    }
   }
+  return Status::Ok();
+}
 
-  // Pairs touched only by negated inclusions still need ext(τ.l) variables.
-  std::vector<std::pair<std::string, std::string>> extra;
-  for (const Constraint& c : neg_inclusions) {
-    extra.emplace_back(c.type1, c.attrs1[0]);
-    extra.emplace_back(c.type2, c.attrs2[0]);
+}  // namespace
+
+Result<SetRepresentationEncoding> BuildSetRepresentation(
+    const Dtd& dtd, const ConstraintSet& sigma,
+    const SetRepresentationOptions& options) {
+  XICC_RETURN_IF_ERROR(CheckRegionEncodable(sigma));
+  // Split Σ = Σ1 ∪ Σ2: Σ1 feeds the cardinality encoding, Σ2 holds the
+  // negated inclusions that need the set representation. Pairs touched only
+  // by negated inclusions still need ext(τ.l) variables.
+  ConstraintSet sigma1;
+  for (const Constraint& c : sigma.constraints()) {
+    if (c.kind != ConstraintKind::kNegInclusion) sigma1.Add(c);
   }
+  const std::set<std::pair<std::string, std::string>> mentioned =
+      MentionedPairs(sigma);
 
   SetRepresentationEncoding enc;
-  XICC_ASSIGN_OR_RETURN(enc.base,
-                        BuildCardinalityEncoding(dtd, sigma1, extra));
+  XICC_ASSIGN_OR_RETURN(
+      enc.base, BuildCardinalityEncoding(dtd, sigma1, {mentioned.begin(),
+                                                       mentioned.end()}));
+  XICC_ASSIGN_OR_RETURN(
+      static_cast<SetRepresentationRegions&>(enc),
+      AppendRegionSystem(enc.base, sigma, options, &enc.base.system));
+  return enc;
+}
+
+Result<SetRepresentationRegions> AppendRegionSystem(
+    const CardinalityEncoding& base, const ConstraintSet& sigma,
+    const SetRepresentationOptions& options, LinearSystem* system) {
+  XICC_RETURN_IF_ERROR(CheckRegionEncodable(sigma));
+  SetRepresentationRegions enc;
 
   // Index the mentioned pairs.
   std::map<std::pair<std::string, std::string>, size_t> index;
-  for (const auto& [pair, var] : enc.base.attr_var) {
+  for (const auto& pair : MentionedPairs(sigma)) {
     index.emplace(pair, enc.pairs.size());
     enc.pairs.push_back(pair);
   }
@@ -77,12 +88,16 @@ Result<SetRepresentationEncoding> BuildSetRepresentation(
     size_t j = index.at({c.type2, c.attrs2[0]});
     uf.Merge(i, j);
   };
-  for (const Constraint& c : sigma1.constraints()) {
+  for (const Constraint& c : sigma.constraints()) {
     if (c.kind == ConstraintKind::kInclusion) edge(c);
   }
-  for (const Constraint& c : neg_inclusions) edge(c);
-  for (const Constraint& c : neg_inclusions) {
-    has_neg.insert(uf.Find(index.at({c.type1, c.attrs1[0]})));
+  for (const Constraint& c : sigma.constraints()) {
+    if (c.kind == ConstraintKind::kNegInclusion) edge(c);
+  }
+  for (const Constraint& c : sigma.constraints()) {
+    if (c.kind == ConstraintKind::kNegInclusion) {
+      has_neg.insert(uf.Find(index.at({c.type1, c.attrs1[0]})));
+    }
   }
 
   std::map<size_t, size_t> component_of_root;
@@ -98,8 +113,7 @@ Result<SetRepresentationEncoding> BuildSetRepresentation(
   }
 
   // Region variables and defining rows per region component.
-  LinearSystem& system = enc.base.system;
-  for (SetRepresentationEncoding::Component& comp : enc.components) {
+  for (SetRepresentationRegions::Component& comp : enc.components) {
     if (!comp.needs_regions) continue;
     const size_t k = comp.pair_idx.size();
     if (k > options.max_component_pairs) {
@@ -113,7 +127,7 @@ Result<SetRepresentationEncoding> BuildSetRepresentation(
     comp.z.reserve(num_masks);
     for (size_t mask = 1; mask <= num_masks; ++mask) {
       comp.z.push_back(
-          system.AddVariable("z(" + std::to_string(mask) + ")"));
+          system->AddVariable("z(" + std::to_string(mask) + ")"));
     }
     // u_ii = ext(pair_i): Σ_{θ(i)=1} z_θ = ext var of the pair.
     for (size_t a = 0; a < k; ++a) {
@@ -121,14 +135,13 @@ Result<SetRepresentationEncoding> BuildSetRepresentation(
       for (size_t mask = 1; mask <= num_masks; ++mask) {
         if (mask & (size_t{1} << a)) sum.Add(comp.z[mask - 1], BigInt(1));
       }
-      system.AddEq(sum,
-                   LinearExpr::Var(
-                       enc.base.attr_var.at(enc.pairs[comp.pair_idx[a]])));
+      system->AddEq(
+          sum, LinearExpr::Var(base.attr_var.at(enc.pairs[comp.pair_idx[a]])));
     }
   }
 
   // v_ij rows from the constraints: v_ij = Σ_{θ(i)=1, θ(j)=0} z_θ.
-  auto v_expr = [&](const SetRepresentationEncoding::Component& comp,
+  auto v_expr = [&](const SetRepresentationRegions::Component& comp,
                     size_t i, size_t j) {
     // i, j are positions within the component.
     LinearExpr sum;
@@ -141,7 +154,7 @@ Result<SetRepresentationEncoding> BuildSetRepresentation(
     return sum;
   };
   auto component_pos = [&](size_t pair_index,
-                           const SetRepresentationEncoding::Component& comp) {
+                           const SetRepresentationRegions::Component& comp) {
     for (size_t pos = 0; pos < comp.pair_idx.size(); ++pos) {
       if (comp.pair_idx[pos] == pair_index) return pos;
     }
@@ -151,7 +164,7 @@ Result<SetRepresentationEncoding> BuildSetRepresentation(
     size_t i = index.at({c.type1, c.attrs1[0]});
     size_t j = index.at({c.type2, c.attrs2[0]});
     // Find the (unique) component containing both.
-    for (const SetRepresentationEncoding::Component& comp : enc.components) {
+    for (const SetRepresentationRegions::Component& comp : enc.components) {
       if (!comp.needs_regions) continue;
       size_t pi = component_pos(i, comp);
       if (pi == comp.pair_idx.size()) continue;
@@ -161,9 +174,9 @@ Result<SetRepresentationEncoding> BuildSetRepresentation(
       }
       LinearExpr v = v_expr(comp, pi, pj);
       if (zero) {
-        system.AddEq(v, LinearExpr(BigInt(0)));
+        system->AddEq(v, LinearExpr(BigInt(0)));
       } else {
-        system.AddConstraint(v, RelOp::kGe, BigInt(1));
+        system->AddConstraint(v, RelOp::kGe, BigInt(1));
       }
       return Status::Ok();
     }
@@ -175,13 +188,15 @@ Result<SetRepresentationEncoding> BuildSetRepresentation(
     }
     return Status::Ok();
   };
-  for (const Constraint& c : sigma1.constraints()) {
+  for (const Constraint& c : sigma.constraints()) {
     if (c.kind == ConstraintKind::kInclusion) {
       XICC_RETURN_IF_ERROR(add_v_row(c, /*zero=*/true));
     }
   }
-  for (const Constraint& c : neg_inclusions) {
-    XICC_RETURN_IF_ERROR(add_v_row(c, /*zero=*/false));
+  for (const Constraint& c : sigma.constraints()) {
+    if (c.kind == ConstraintKind::kNegInclusion) {
+      XICC_RETURN_IF_ERROR(add_v_row(c, /*zero=*/false));
+    }
   }
 
   return enc;
@@ -189,7 +204,8 @@ Result<SetRepresentationEncoding> BuildSetRepresentation(
 
 Result<std::map<std::pair<std::string, std::string>,
                 std::vector<std::string>>>
-RealizeValueSets(const SetRepresentationEncoding& encoding,
+RealizeValueSets(const CardinalityEncoding& base,
+                 const SetRepresentationRegions& regions,
                  const IlpSolution& solution) {
   std::map<std::pair<std::string, std::string>, std::vector<std::string>> out;
 
@@ -202,15 +218,15 @@ RealizeValueSets(const SetRepresentationEncoding& encoding,
     return value.ToInt64();
   };
 
-  for (size_t ci = 0; ci < encoding.components.size(); ++ci) {
-    const auto& comp = encoding.components[ci];
+  for (size_t ci = 0; ci < regions.components.size(); ++ci) {
+    const auto& comp = regions.components[ci];
     if (!comp.needs_regions) {
       // Prefix chain: pair with ext(τ.l) = y gets {c<ci>_1 .. c<ci>_y};
       // y1 ≤ y2 then realizes every inclusion in the component as a prefix
       // containment (Lemma 4.4).
       for (size_t pair_index : comp.pair_idx) {
-        const auto& pair = encoding.pairs[pair_index];
-        VarId var = encoding.base.attr_var.at(pair);
+        const auto& pair = regions.pairs[pair_index];
+        VarId var = base.attr_var.at(pair);
         XICC_ASSIGN_OR_RETURN(int64_t count,
                               to_count(solution.values[var]));
         std::vector<std::string> values;
@@ -240,7 +256,7 @@ RealizeValueSets(const SetRepresentationEncoding& encoding,
       }
     }
     for (size_t a = 0; a < k; ++a) {
-      out.emplace(encoding.pairs[comp.pair_idx[a]], std::move(sets[a]));
+      out.emplace(regions.pairs[comp.pair_idx[a]], std::move(sets[a]));
     }
   }
   return out;

@@ -32,9 +32,12 @@ namespace xicc {
 /// negated inclusion. Components without one are realizable by the prefix
 /// chains of Lemma 4.4, and independent components share no constraints, so
 /// the shrink is sound and complete while reducing Σ 2^k to Σ_c 2^{k_c}.
-struct SetRepresentationEncoding {
-  CardinalityEncoding base;
-  /// All mentioned attribute pairs, indexed.
+///
+/// This struct is the region layer alone; it sits on a base cardinality
+/// encoding whose ext(τ.l) variables the u rows name — a fresh Ψ(D,Σ1)
+/// (SetRepresentationEncoding) or a spec session's compiled skeleton.
+struct SetRepresentationRegions {
+  /// The mentioned attribute pairs (MentionedPairs), indexed.
   std::vector<std::pair<std::string, std::string>> pairs;
 
   struct Component {
@@ -45,6 +48,12 @@ struct SetRepresentationEncoding {
     std::vector<VarId> z;
   };
   std::vector<Component> components;
+};
+
+/// Ψ'(D,Σ) built fresh: Ψ(D,Σ1) over the mentioned pairs, with the region
+/// layer appended to its system.
+struct SetRepresentationEncoding : SetRepresentationRegions {
+  CardinalityEncoding base;
 };
 
 struct SetRepresentationOptions {
@@ -61,13 +70,25 @@ Result<SetRepresentationEncoding> BuildSetRepresentation(
     const Dtd& dtd, const ConstraintSet& sigma,
     const SetRepresentationOptions& options = {});
 
-/// Materializes concrete attribute-value sets from a solution of the
-/// system: prefix chains for chain components, region unions for region
-/// components (disjoint universes per component). Set sizes must fit in
-/// memory; astronomically large solutions yield kResourceExhausted.
+/// The one region builder: appends the z_θ variables and the u/v rows of
+/// `sigma` (normalized, unary, negated inclusions allowed) to `system`,
+/// whose ext(τ.l) variables are `base.attr_var`. Components are formed over
+/// MentionedPairs(sigma) only, so `base` must carry a variable for each of
+/// them; any other pair of `base` is left as it is. kResourceExhausted when
+/// a region component exceeds `options.max_component_pairs`.
+Result<SetRepresentationRegions> AppendRegionSystem(
+    const CardinalityEncoding& base, const ConstraintSet& sigma,
+    const SetRepresentationOptions& options, LinearSystem* system);
+
+/// Materializes concrete attribute-value sets from a solution of a system
+/// carrying `regions` on top of `base`: prefix chains for chain components,
+/// region unions for region components (disjoint universes per component).
+/// Set sizes must fit in memory; astronomically large solutions yield
+/// kResourceExhausted.
 Result<std::map<std::pair<std::string, std::string>,
                 std::vector<std::string>>>
-RealizeValueSets(const SetRepresentationEncoding& encoding,
+RealizeValueSets(const CardinalityEncoding& base,
+                 const SetRepresentationRegions& regions,
                  const IlpSolution& solution);
 
 }  // namespace xicc

@@ -213,10 +213,12 @@ SpecSession::SpecSession(std::shared_ptr<const CompiledDtd> compiled,
 }
 
 /// The session's side of the one verdict path (core/verdict.h): facts from
-/// the compiled DTD, and the cardinality cells solved as Σ-delta rows on the
-/// compiled skeleton. The Section 5 region system (its z_θ variables depend
-/// on Σ, so there is no shared skeleton to delta against) and the Lemma 3.7
-/// counterexample (a one-off tree build) stay fresh, counted as fallbacks.
+/// the compiled DTD, and every Ψ solve as rows pushed onto the compiled
+/// skeleton and re-solved warm from its basis. The cardinality cells push
+/// their C_Σ rows; the Section 5 region system pushes them and its z_θ
+/// variables and u/v rows, which the warm re-solve takes as new columns;
+/// the Lemma 3.7 counterexample pushes ext(τ) ≥ 2. Nothing is rebuilt from
+/// the DTD.
 class SpecSession::Path final : public FreshPath {
  public:
   explicit Path(SpecSession* session)
@@ -241,19 +243,18 @@ class SpecSession::Path final : public FreshPath {
                                      const EncodingSolveOptions& solve,
                                      const ConsistencyOptions& options,
                                      ConsistencyStats* stats) override {
-    return session_.SolveDelta(encoded, solve, options, stats);
+    return session_.SolveDelta(encoded, solve, options, stats,
+                               /*regions=*/nullptr);
   }
   Result<SolvedPsi> SolveRegions(const ConstraintSet& encoded,
                                  const EncodingSolveOptions& solve,
                                  const ConsistencyOptions& options,
                                  ConsistencyStats* stats) override {
-    ++session_.stats_.fresh_fallbacks;
-    return FreshPath::SolveRegions(encoded, solve, options, stats);
+    return session_.SolveDelta(encoded, solve, options, stats, &regions_);
   }
-  Result<XmlTree> TreeWithTwo(const std::string& type,
-                              const ConsistencyOptions& options) override {
-    ++session_.stats_.fresh_fallbacks;
-    return FreshPath::TreeWithTwo(type, options);
+  Result<SolvedPsi> SolveWithTwo(const std::string& type,
+                                 const EncodingSolveOptions& solve) override {
+    return session_.SolveWithTwo(type, solve);
   }
 
   /// Answered by the session's own Check of the one-constraint delta, so the
@@ -269,26 +270,36 @@ class SpecSession::Path final : public FreshPath {
 
  private:
   SpecSession& session_;
+  /// The region layer this path's query pushed; a returned SolvedPsi points
+  /// into it.
+  std::optional<SetRepresentationRegions> regions_;
 };
 
-Result<SolvedPsi> SpecSession::SolveDelta(const ConstraintSet& encoded,
-                                          const EncodingSolveOptions& solve,
-                                          const ConsistencyOptions& options,
-                                          ConsistencyStats* stats) {
-  XICC_RETURN_IF_ERROR(CheckEncodable(encoded));
+Result<SolvedPsi> SpecSession::SolveDelta(
+    const ConstraintSet& encoded, const EncodingSolveOptions& solve,
+    const ConsistencyOptions& options, ConsistencyStats* stats,
+    std::optional<SetRepresentationRegions>* regions) {
+  if (regions == nullptr) XICC_RETURN_IF_ERROR(CheckEncodable(encoded));
   const CardinalityEncoding& sk = compiled_->skeleton;
-  ++stats_.sigma_delta_checks;
-  stats->sigma_delta_checks = 1;
 
-  // Everything below the checkpoint is this query's: the C_Σ rows, the
-  // min-size row, and whatever the in-place solver pushes. Audit builds
-  // check the trail and the warm basis at this boundary — the exact
-  // precondition of the Σ-delta warm re-solve.
+  // Everything below the checkpoint is this query's: the region variables
+  // and rows, the C_Σ rows, the min-size row, and whatever the in-place
+  // solver pushes. Audit builds check the trail and the warm basis at this
+  // boundary — the exact precondition of the Σ-delta warm re-solve.
   XICC_DCHECK_AUDIT(AuditTrail(system_));
   if (warm_.valid) {
     XICC_DCHECK_AUDIT(AuditTableau(system_, warm_.base_tableau));
   }
   TrailScope scope(&system_);
+  if (regions != nullptr) {
+    // The region builder validates `encoded` before it appends anything.
+    XICC_ASSIGN_OR_RETURN(*regions,
+                          AppendRegionSystem(sk, encoded,
+                                             options.set_representation,
+                                             &system_));
+  }
+  ++stats_.sigma_delta_checks;
+  stats->sigma_delta_checks = 1;
 
   // Committed constraints' rows are already materialized below every
   // checkpoint (see Commit); only the true delta rides the trail.
@@ -298,8 +309,9 @@ Result<SolvedPsi> SpecSession::SolveDelta(const ConstraintSet& encoded,
   }
   AddMinimumSizeRow(sk, options.min_witness_nodes, &system_);
 
-  // Conditionals only for the mentioned pairs, exactly as the fresh
-  // encoding carries them; unmentioned pairs stay slack (0 ≤ y ≤ x).
+  // Conditionals only for the mentioned pairs (negated inclusions' endpoints
+  // included), exactly as the fresh encoding carries them; unmentioned
+  // pairs stay slack (0 ≤ y ≤ x).
   std::vector<Conditional> conditionals;
   for (const auto& pair : MentionedPairs(encoded)) {
     conditionals.push_back({LinearExpr::Var(sk.ext_var.at(pair.first)),
@@ -317,7 +329,25 @@ Result<SolvedPsi> SpecSession::SolveDelta(const ConstraintSet& encoded,
     XICC_DCHECK_AUDIT(AuditTableau(system_, warm_.base_tableau));
   }
   if (!solved.ok()) return solved.status();
-  return SolvedPsi{std::move(*solved), &sk, /*regions=*/nullptr};
+  return SolvedPsi{std::move(*solved), &sk,
+                   regions == nullptr ? nullptr : &**regions};
+}
+
+Result<SolvedPsi> SpecSession::SolveWithTwo(const std::string& type,
+                                            const EncodingSolveOptions& solve) {
+  // Only a keys-only Σ asks for this. Its committed rows ext(τ.l) = ext(τ)
+  // fix attribute variables no other row constrains, so every solution of
+  // Ψ_D extends to the session system. No pair is mentioned, so no
+  // conditionals.
+  const CardinalityEncoding& sk = compiled_->skeleton;
+  TrailScope scope(&system_);
+  system_.AddConstraint(LinearExpr::Var(sk.ext_var.at(type)), RelOp::kGe,
+                        BigInt(2));
+  XICC_ASSIGN_OR_RETURN(
+      IlpSolution solution,
+      SolveEncodingSystemInPlace(sk, &system_, /*conditionals=*/{}, solve,
+                                 &warm_));
+  return SolvedPsi{std::move(solution), &sk, /*regions=*/nullptr};
 }
 
 Result<ConsistencyResult> SpecSession::Check(const ConstraintSet& sigma) {
@@ -424,10 +454,10 @@ Status SpecSession::Commit(const ConstraintSet& sigma) {
 
   // Materialize the layer's encodable C_Σ rows below every later Check
   // checkpoint, so Checks re-push only their delta. The commit checkpoint
-  // pairs with Rollback's pop. Non-encodable constraints (multi-attribute,
-  // negated inclusions) stay out: queries touching them never reach the
-  // Σ-delta solve — they are rejected or solved fresh, which ignores the
-  // session system entirely.
+  // pairs with Rollback's pop. Constraints without a skeleton row stay out:
+  // a multi-attribute key needs no row (Theorem 3.5's keys-only cell), a
+  // query with any other multi-attribute constraint is rejected, and
+  // negated inclusions live in the region rows each query pushes anew.
   system_.PushCheckpoint();
   ConstraintSet layer = sigma.Normalize();
   for (const Constraint& c : layer.constraints()) {

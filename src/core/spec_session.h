@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -70,12 +71,11 @@ Result<std::shared_ptr<const CompiledDtd>> CompileDtd(const Dtd& dtd);
 /// Session-cumulative counters, aggregated across every query answered.
 struct SpecSessionStats {
   size_t queries = 0;
-  /// Queries answered by pushing only C_Σ rows onto the compiled skeleton's
-  /// trail (one PushCheckpoint / append / solve / PopCheckpoint round).
+  /// Queries answered by pushing only C_Σ rows (and, for negated
+  /// inclusions, the region variables and rows) onto the compiled
+  /// skeleton's trail (one PushCheckpoint / append / solve / PopCheckpoint
+  /// round).
   size_t sigma_delta_checks = 0;
-  /// Solves built fresh instead of on the skeleton: the Section 5 region
-  /// system of negated inclusions, and Lemma 3.7 key counterexamples.
-  size_t fresh_fallbacks = 0;
   size_t memo_hits = 0;
   size_t memo_misses = 0;
   size_t memo_evictions = 0;
@@ -247,13 +247,23 @@ class SpecSession {
   /// (core/verdict.h) consumes them; defined in spec_session.cc.
   class Path;
 
-  /// The Σ-delta solve of Ψ(D, `encoded`): pushes `encoded`'s C_Σ rows and
-  /// the min-size row onto the session system, solves warm from the
-  /// skeleton basis, pops. The solution's variables are the skeleton's.
-  Result<SolvedPsi> SolveDelta(const ConstraintSet& encoded,
-                               const EncodingSolveOptions& solve,
-                               const ConsistencyOptions& options,
-                               ConsistencyStats* stats);
+  /// The Σ-delta solve of Ψ(D, `encoded`): pushes `encoded`'s C_Σ rows
+  /// (committed ones are already below) and the min-size row onto the
+  /// session system, solves warm from the skeleton basis, pops. With
+  /// `regions` non-null it is the Section 5 system Ψ'(D, `encoded`): the
+  /// region variables and rows are pushed too and their layout is kept in
+  /// `*regions`. The solution's variables are the skeleton's, then the
+  /// regions'.
+  Result<SolvedPsi> SolveDelta(
+      const ConstraintSet& encoded, const EncodingSolveOptions& solve,
+      const ConsistencyOptions& options, ConsistencyStats* stats,
+      std::optional<SetRepresentationRegions>* regions);
+
+  /// Ψ_D plus ext(`type`) ≥ 2 for the Lemma 3.7 counterexample: one row
+  /// pushed onto the session system, solved warm from the skeleton basis,
+  /// popped.
+  Result<SolvedPsi> SolveWithTwo(const std::string& type,
+                                 const EncodingSolveOptions& solve);
 
   /// Appends the one C_Σ row of a normalized unary key / negated key /
   /// inclusion to the session system (Lemma 4.4 shapes). The caller decides

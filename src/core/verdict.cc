@@ -122,7 +122,8 @@ Result<ConsistencyResult> SolveCell(FreshPath& path, PsiCell cell,
       value_sets;
   if (solved->regions != nullptr) {
     XICC_ASSIGN_OR_RETURN(value_sets,
-                          RealizeValueSets(*solved->regions, solved->solution));
+                          RealizeValueSets(*solved->encoding, *solved->regions,
+                                           solved->solution));
   } else {
     value_sets = PrefixValueSets(*solved->encoding, solved->solution,
                                  MentionedPairs(encoded));
@@ -176,10 +177,22 @@ Status VerifyCounterexample(const XmlTree& tree, const FreshPath& path,
 }
 
 /// The Lemma 3.7 counterexample: a valid tree with two τ elements agreeing
-/// on X and all other attribute values pairwise distinct.
+/// on X and all other attribute values pairwise distinct. The solve's
+/// counters go to `stats`.
 Result<XmlTree> BuildKeyCounterexample(FreshPath& path, const Constraint& phi,
-                                       const ConsistencyOptions& options) {
-  XICC_ASSIGN_OR_RETURN(XmlTree tree, path.TreeWithTwo(phi.type1, options));
+                                       const ConsistencyOptions& options,
+                                       ConsistencyStats* stats) {
+  XICC_ASSIGN_OR_RETURN(SolvedPsi solved,
+                        path.SolveWithTwo(phi.type1, ToSolveOptions(options)));
+  static_cast<SolveCounters&>(*stats) = solved.solution;
+  if (!solved.solution.feasible) {
+    return Status::Internal(
+        "Lemma 3.6 said two elements are possible but Ψ_D disagrees");
+  }
+  // No value sets: every attribute value is globally fresh.
+  XICC_ASSIGN_OR_RETURN(
+      XmlTree tree, BuildWitnessTree(*solved.encoding, solved.solution,
+                                     /*value_sets=*/{}, options.witness));
   std::vector<NodeId> nodes = tree.ExtOfType(phi.type1);
   if (nodes.size() < 2) {
     return Status::Internal("counterexample tree lacks two '" + phi.type1 +
@@ -249,7 +262,7 @@ Result<SolvedPsi> FreshPath::SolveRegions(const ConstraintSet& encoded,
 }
 
 Result<SolvedPsi> FreshPath::Solve(CardinalityEncoding* encoding,
-                                   const SetRepresentationEncoding* regions,
+                                   const SetRepresentationRegions* regions,
                                    const EncodingSolveOptions& solve,
                                    const ConsistencyOptions& options,
                                    ConsistencyStats* stats) {
@@ -262,21 +275,16 @@ Result<SolvedPsi> FreshPath::Solve(CardinalityEncoding* encoding,
   return SolvedPsi{std::move(solution), encoding, regions};
 }
 
-Result<XmlTree> FreshPath::TreeWithTwo(const std::string& type,
-                                       const ConsistencyOptions& options) {
-  XICC_ASSIGN_OR_RETURN(CardinalityEncoding enc,
+Result<SolvedPsi> FreshPath::SolveWithTwo(const std::string& type,
+                                          const EncodingSolveOptions& solve) {
+  XICC_ASSIGN_OR_RETURN(cardinality_,
                         BuildCardinalityEncoding(dtd_, ConstraintSet()));
-  enc.system.AddConstraint(LinearExpr::Var(enc.ext_var.at(type)), RelOp::kGe,
-                           BigInt(2));
-  EncodingSolveOptions solve_options;
-  solve_options.ilp = options.ilp;
-  XICC_ASSIGN_OR_RETURN(IlpSolution solution,
-                        SolveEncodingSystem(enc, enc.system, solve_options));
-  if (!solution.feasible) {
-    return Status::Internal(
-        "Lemma 3.6 said two elements are possible but Ψ_D disagrees");
-  }
-  return BuildWitnessTree(enc, solution, /*value_sets=*/{}, options.witness);
+  cardinality_->system.AddConstraint(
+      LinearExpr::Var(cardinality_->ext_var.at(type)), RelOp::kGe, BigInt(2));
+  XICC_ASSIGN_OR_RETURN(
+      IlpSolution solution,
+      SolveEncodingSystem(*cardinality_, cardinality_->system, solve));
+  return SolvedPsi{std::move(solution), &*cardinality_, /*regions=*/nullptr};
 }
 
 Result<ConsistencyResult> FreshPath::Refute(const ConstraintSet& sigma,
@@ -430,8 +438,9 @@ Result<ImplicationResult> DecideImplication(FreshPath& path,
         "Σ does not subsume φ and some valid tree has two '" + phi.type1 +
         "' elements sharing the key attributes (Lemma 3.7)";
     if (options.build_witness) {
-      XICC_ASSIGN_OR_RETURN(XmlTree tree,
-                            BuildKeyCounterexample(path, phi, options));
+      XICC_ASSIGN_OR_RETURN(
+          XmlTree tree, BuildKeyCounterexample(path, phi, options,
+                                               &result.stats));
       if (options.verify_witness) {
         XICC_RETURN_IF_ERROR(VerifyCounterexample(tree, path, sigma, phi));
       }

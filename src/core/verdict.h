@@ -16,9 +16,10 @@ struct SolvedPsi {
   /// The encoding whose variables `solution` assigns; witnesses are built
   /// from it.
   const CardinalityEncoding* encoding = nullptr;
-  /// Set when the Section 5 region system was solved: its regions supply
-  /// the attribute values. Null means Lemma 4.4 prefix chains.
-  const SetRepresentationEncoding* regions = nullptr;
+  /// Set when the Section 5 region system was solved: its regions, on top
+  /// of `encoding`, supply the attribute values. Null means Lemma 4.4
+  /// prefix chains.
+  const SetRepresentationRegions* regions = nullptr;
 };
 
 /// The one Figure-5 verdict path (internal to src/core). CheckConsistency,
@@ -32,8 +33,9 @@ struct SolvedPsi {
 /// This class is the fresh path: facts computed from the DTD, Ψ(D,Σ) built
 /// per query (BuildCardinalityEncoding / BuildSetRepresentation) and solved
 /// by SolveEncodingSystem. A spec session overrides the facts with its
-/// compiled ones and the cardinality solve with Σ-delta rows on the compiled
-/// skeleton. One path object serves one top-level query.
+/// compiled ones and every solve — cardinality, region and two-element —
+/// with rows pushed onto the compiled skeleton and re-solved warm. One path
+/// object serves one top-level query.
 class FreshPath {
  public:
   explicit FreshPath(const Dtd& dtd) : dtd_(dtd) {}
@@ -53,7 +55,8 @@ class FreshPath {
   virtual Result<XmlTree> MinimalTree() const;
 
   // How Ψ(D,Σ) is solved. `encoded` is normalized; both solves add the
-  // minimum-size row and write the system size into `stats`.
+  // minimum-size row and write the system size into `stats`. A returned
+  // SolvedPsi stays valid while the path lives.
   virtual Result<SolvedPsi> SolveCardinality(
       const ConstraintSet& encoded, const EncodingSolveOptions& solve,
       const ConsistencyOptions& options, ConsistencyStats* stats);
@@ -62,11 +65,10 @@ class FreshPath {
                                          const EncodingSolveOptions& solve,
                                          const ConsistencyOptions& options,
                                          ConsistencyStats* stats);
-  /// A valid tree with at least two `type` elements and globally distinct
-  /// attribute values: Ψ_D plus ext(type) ≥ 2, for the Lemma 3.7
-  /// counterexample.
-  virtual Result<XmlTree> TreeWithTwo(const std::string& type,
-                                      const ConsistencyOptions& options);
+  /// Ψ_D plus ext(type) ≥ 2: the document with two `type` elements behind
+  /// the Lemma 3.7 counterexample.
+  virtual Result<SolvedPsi> SolveWithTwo(const std::string& type,
+                                         const EncodingSolveOptions& solve);
   /// Consistency of `sigma` ∪ {`negated`}: the refutation step of
   /// Theorems 4.10 / 5.4.
   virtual Result<ConsistencyResult> Refute(const ConstraintSet& sigma,
@@ -75,7 +77,7 @@ class FreshPath {
 
  private:
   Result<SolvedPsi> Solve(CardinalityEncoding* encoding,
-                          const SetRepresentationEncoding* regions,
+                          const SetRepresentationRegions* regions,
                           const EncodingSolveOptions& solve,
                           const ConsistencyOptions& options,
                           ConsistencyStats* stats);

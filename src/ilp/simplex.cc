@@ -302,6 +302,9 @@ struct DualScratch {
   /// the parent rows one appended row must be eliminated against.
   std::vector<int> basic_row;
   std::vector<int> pending;
+  /// VarId → column, for a parent whose structural columns are not the
+  /// first ones in VarId order (one that took new variables itself).
+  std::vector<int> var_col;
 };
 thread_local DualScratch g_dual_scratch;
 
@@ -882,15 +885,20 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
 
   // Usability: the parent basis must be artificial-free (artificials are not
   // exported, so a row basic in one cannot be re-seeded) and name columns
-  // the tableau has, the variable set must not have grown since the parent
-  // solve, and the parent must actually be a prefix of `system`. Nothing
-  // has been touched yet, so kUnusableBasis leaves the tableau intact.
+  // the tableau has, every parent variable must still exist, and the parent
+  // must actually be a prefix of `system`. Nothing has been touched yet, so
+  // kUnusableBasis leaves the tableau intact. `identity` is the cold
+  // export's layout: structural column j is variable j.
   if (tableau->num_constraints > m_new) return out;
   size_t num_structural = 0;
-  for (const LpColumnInfo& column : tableau->columns) {
-    if (column.kind == LpColumnInfo::Kind::kStructural) ++num_structural;
+  bool identity = true;
+  for (size_t j = 0; j < tableau->columns.size(); ++j) {
+    const LpColumnInfo& column = tableau->columns[j];
+    if (column.kind != LpColumnInfo::Kind::kStructural) continue;
+    ++num_structural;
+    if (column.index != static_cast<int>(j)) identity = false;
   }
-  if (num_structural != n) return out;
+  if (num_structural > n) return out;
   for (int b : tableau->basis) {
     if (b < 0 || static_cast<size_t>(b) >= tableau->columns.size()) {
       return out;
@@ -914,7 +922,33 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
     if (op == RelOp::kGe || op == RelOp::kEq) appended.push_back({k, 1});
   }
   const size_t rows = old_rows + appended.size();
-  const size_t total = old_cols + appended.size();
+  // Variables created since the parent solve become structural columns
+  // past the new slacks, nonbasic at zero. They are absent from every
+  // parent row, which predates them, so those rows stay untouched.
+  const size_t first_new_var = old_cols + appended.size();
+  const size_t total = first_new_var + (n - num_structural);
+
+  // An appended row's cells by VarId: parent variables through the parent's
+  // layout, new ones past the slacks. Only a parent that took new variables
+  // itself needs a map; the cold export's layout is its own.
+  std::vector<int>& var_col = g_dual_scratch.var_col;
+  if (!identity) {
+    var_col.assign(num_structural, -1);
+    for (size_t j = 0; j < old_cols; ++j) {
+      const LpColumnInfo& column = tableau->columns[j];
+      if (column.kind != LpColumnInfo::Kind::kStructural) continue;
+      // Not one of the parent's variables 0..num_structural-1.
+      if (static_cast<size_t>(column.index) >= num_structural) return out;
+      var_col[column.index] = static_cast<int>(j);
+    }
+  }
+  auto column_of = [&](VarId var) {
+    const size_t v = static_cast<size_t>(var);
+    if (v >= num_structural) {
+      return static_cast<int>(first_new_var + (v - num_structural));
+    }
+    return identity ? var : var_col[v];
+  };
 
   // Extend the tableau in place: one slack-basic row per appended half. The
   // fresh slack columns are zero in every parent row, and a sparse row lists
@@ -925,24 +959,36 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
   basis.reserve(rows);
   for (size_t r = 0; r < appended.size(); ++r) {
     const size_t row = old_rows + r;
-    const size_t slack = old_cols + r;
+    const int slack = static_cast<int>(old_cols + r);
     const NewRow& plan = appended[r];
     const LinearConstraint& c = system.constraints()[plan.constraint];
     const int sign = plan.sub_sign < 0 ? 1 : -1;
-    // Coefficients are var-sorted and every slack sits past the structural
-    // columns, so cells arrive in column order.
+    // Coefficients are var-sorted, and structural columns keep VarId order
+    // (a cold export is the identity; new variables land past everything),
+    // so cells arrive in column order once the slack is slotted in between
+    // the parent variables and the new ones.
     LpRow& cells = tableau->rows[row];
     cells.clear();
+    bool slack_listed = false;
     for (const auto& [var, coeff] : c.coeffs) {
       if (coeff.is_zero()) continue;
-      cells.Append(var, sign < 0 ? -coeff : coeff);
+      const int col = column_of(var);
+      if (!slack_listed && col > slack) {
+        cells.Append(slack, Num(1));
+        slack_listed = true;
+      }
+      cells.Append(col, sign < 0 ? -coeff : coeff);
     }
-    cells.Append(static_cast<int>(slack), Num(1));
+    if (!slack_listed) cells.Append(slack, Num(1));
     tableau->rhs[row] = sign < 0 ? -c.rhs : c.rhs;
-    basis.push_back(static_cast<int>(slack));
+    basis.push_back(slack);
     tableau->columns.push_back({LpColumnInfo::Kind::kSlack,
                                 static_cast<int>(plan.constraint),
                                 plan.sub_sign});
+  }
+  for (size_t v = num_structural; v < n; ++v) {
+    tableau->columns.push_back(
+        {LpColumnInfo::Kind::kStructural, static_cast<int>(v), 0});
   }
   tableau->num_constraints = m_new;
 
@@ -1029,8 +1075,9 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
   out.lp.feasible = true;
   out.lp.values.assign(n, Num());
   for (size_t i = 0; i < rows; ++i) {
-    if (static_cast<size_t>(basis[i]) < n) {
-      out.lp.values[basis[i]] = tableau->rhs[i];
+    const LpColumnInfo& column = tableau->columns[basis[i]];
+    if (column.kind == LpColumnInfo::Kind::kStructural) {
+      out.lp.values[column.index] = tableau->rhs[i];
     }
   }
   return out;

@@ -11,9 +11,10 @@
 namespace xicc {
 
 /// A column of the simplex tableau, as seen by cut generation and the warm
-/// re-solver: the original (structural) variables come first, then one slack
-/// per inequality. Artificial columns are internal and never escape the
-/// solver.
+/// re-solver: a cold solve exports the original (structural) variables
+/// first, then one slack per inequality; a warm re-solve appends its slacks
+/// and then any variables created since. Artificial columns are internal
+/// and never escape the solver.
 struct LpColumnInfo {
   enum class Kind { kStructural, kSlack };
   Kind kind;
@@ -221,7 +222,7 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
 enum class WarmStatus {
   kOk,
   /// The parent basis cannot seed a re-solve: a degenerate artificial was
-  /// still basic, or the system gained variables since the parent solve.
+  /// still basic, or the system lost rows or variables the parent covers.
   kUnusableBasis,
   /// The anti-cycling backstop tripped; `lp.pivots` still reports the work
   /// spent so callers can account for it before falling back cold.
@@ -244,8 +245,10 @@ struct WarmResult {
 ///
 /// Precondition: `tableau` is the final exported tableau of a *feasible*
 /// solve (cold or warm) of the first `tableau->num_constraints` rows of
-/// `system`, and every row appended since only references variables that
-/// already existed at that solve. Each appended inequality becomes one new
+/// `system`. Rows and variables may have been appended since: a variable
+/// created after that solve becomes a structural column placed after the
+/// new slack columns, nonbasic at zero — it is absent from every parent
+/// row, which predates it. Each appended inequality becomes one new
 /// slack-basic row; an appended equality is split into its ≤ and ≥ halves.
 /// New rows are priced out against the parent basis and primal feasibility
 /// is restored by dual simplex with Bland's rule (leaving row = infeasible
@@ -253,12 +256,15 @@ struct WarmResult {
 /// pivoting from the parent's dual-feasible basis instead of re-running
 /// phase-1 from scratch.
 ///
-/// The appended rows and slack columns extend `tableau` without touching
-/// its parent rows (a fresh column is absent, i.e. zero, in every sparse
-/// row), and the pivots run directly on its rows, so a re-solve whose
-/// appended rows need only a handful of pivots — the Σ-delta session
-/// profile — pays no copy and costs O(nnz) per pivot. On kOk with
-/// `lp.feasible`, `tableau` covers all of `system`; an
+/// The appended rows and columns extend `tableau` without touching its
+/// parent rows (a fresh column is absent, i.e. zero, in every sparse row),
+/// and the pivots run directly on its rows, so a re-solve whose appended
+/// rows need only a handful of pivots — the Σ-delta session profile — pays
+/// no copy and costs O(nnz) per pivot. A tableau that took new variables
+/// no longer has structural column j = variable j (the cold export's
+/// layout): appended rows then map each VarId to its column, and values
+/// are read through `columns`. On kOk with `lp.feasible`, `tableau` covers
+/// all of `system`, variables included; an
 /// infeasible verdict out of the dual loop is exact — the certificate row
 /// has nonnegative coefficients and a negative rhs over nonnegative
 /// variables. On kUnusableBasis the tableau is untouched, but on

@@ -26,15 +26,25 @@
 //
 // Verbs:
 //   ping                                          → {"ok":true}
-//   open     dtd [memo]                           → {"ok":true,"session":N}
+//   open     dtd [memo] [witness]                 → {"ok":true,"session":N}
 //   check    (session | dtd) sigma [timeout_ms] [min_witness_nodes]
+//            [witness]
+//            → {"ok":true,"consistent":b,"class","method",
+//               ["witness_nodes":N],"stats":{}}
 //   implies  (session | dtd+sigma) phi [timeout_ms]
+//            → {"ok":true,"implied":b,"method",
+//               ["counterexample_nodes":N],"stats":{}}
 //   commit   session sigma                        → {"ok":true}
 //   rollback session                              → {"ok":true}
 //   close    session                              → {"ok":true}
 //   batch    dtd sigmas[] [timeout_ms item_timeout_ms threads]
 //   stats                                         → {"ok":true,"stats":{}}
 //   shutdown                                      → {"ok":true} + drain
+//
+// witness_nodes / counterexample_nodes give the size of the checked
+// witness document (consistent) or counterexample (not implied) the query
+// built. A session builds them when opened with "witness": true, a one-shot
+// check when it carries "witness": true; a one-shot implies always does.
 
 #include <cstdint>
 #include <string>

@@ -749,6 +749,11 @@ class ServerImpl {
       JsonValue out = MakeOkResponse(req.id);
       out.Set("implied", JsonValue::Bool(result->implied));
       out.Set("method", JsonValue::Str(result->method));
+      if (result->counterexample.has_value()) {
+        out.Set("counterexample_nodes",
+                JsonValue::Int(
+                    static_cast<int64_t>(result->counterexample->size())));
+      }
       out.Set("stats", StatsJson(result->stats));
       return out;
     };

@@ -127,6 +127,65 @@ TEST(DaemonTest, SessionLifecycle) {
       1000));
 }
 
+TEST(DaemonTest, ImpliesReportsTheCounterexampleTheSessionBuilt) {
+  auto server = MustStart({});
+  ASSERT_NE(server, nullptr);
+  Client client = MustConnect(*server);
+  const std::string dtd = workloads::CatalogDtd(2).ToString();
+  auto open_session = [&](int64_t id, bool witness) -> uint64_t {
+    auto open = client.Call(Req("open", id)
+                                .Set("dtd", JsonValue::Str(dtd))
+                                .Set("witness", JsonValue::Bool(witness)));
+    EXPECT_TRUE(open.ok()) << open.status();
+    if (!open.ok()) return 0;
+    EXPECT_TRUE(open->GetBool("ok", false)) << open->Dump();
+    return static_cast<uint64_t>(open->GetInt("session", 0));
+  };
+  auto implies = [&](int64_t id, uint64_t session, const std::string& phi) {
+    auto response = client.Call(
+        Req("implies", id)
+            .Set("session", JsonValue::Int(static_cast<int64_t>(session)))
+            .Set("phi", JsonValue::Str(phi)));
+    if (!response.ok()) {
+      ADD_FAILURE() << response.status();
+      return JsonValue::Object();
+    }
+    EXPECT_TRUE(response->GetBool("ok", false)) << response->Dump();
+    return std::move(*response);
+  };
+
+  const uint64_t with_witness = open_session(1, /*witness=*/true);
+  ASSERT_GT(with_witness, 0u);
+  // Lemma 3.7 (nothing committed): two item1 elements sharing an id, so
+  // at least the root, one section and the two items.
+  JsonValue key_goal = implies(2, with_witness, "key item1(id)");
+  EXPECT_FALSE(key_goal.GetBool("implied", true));
+  EXPECT_GE(key_goal.GetInt("counterexample_nodes", 0), 4) << key_goal.Dump();
+  // Refutation through the Section 5 region system: an item1 ref outside
+  // every item2 id.
+  JsonValue fk_goal = implies(3, with_witness, "fk item1(ref) => item2(id)");
+  EXPECT_FALSE(fk_goal.GetBool("implied", true));
+  EXPECT_GE(fk_goal.GetInt("counterexample_nodes", 0), 3) << fk_goal.Dump();
+
+  // An implied goal has no counterexample to report.
+  auto commit = client.Call(
+      Req("commit", 4)
+          .Set("session", JsonValue::Int(static_cast<int64_t>(with_witness)))
+          .Set("sigma", JsonValue::Str("key item1(id)")));
+  ASSERT_TRUE(commit.ok());
+  ASSERT_TRUE(commit->GetBool("ok", false)) << commit->Dump();
+  JsonValue implied = implies(5, with_witness, "key item1(id)");
+  EXPECT_TRUE(implied.GetBool("implied", false));
+  EXPECT_EQ(implied.Find("counterexample_nodes"), nullptr) << implied.Dump();
+
+  // Nor does a session that builds no witnesses.
+  const uint64_t without = open_session(6, /*witness=*/false);
+  ASSERT_GT(without, 0u);
+  JsonValue bare = implies(7, without, "key item1(id)");
+  EXPECT_FALSE(bare.GetBool("implied", true));
+  EXPECT_EQ(bare.Find("counterexample_nodes"), nullptr) << bare.Dump();
+}
+
 TEST(DaemonTest, MalformedFramesAnswerInvalidArgumentAndConnectionLives) {
   ServerOptions options;
   options.max_line_bytes = 512;

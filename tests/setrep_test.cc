@@ -170,7 +170,7 @@ TEST(SetRepTest, RealizedSetsMatchTheUVMatrices) {
       SolveEncodingSystem(enc->base, enc->base.system, options);
   ASSERT_TRUE(solved.ok()) << solved.status();
   ASSERT_TRUE(solved->feasible);
-  auto sets = RealizeValueSets(*enc, *solved);
+  auto sets = RealizeValueSets(enc->base, *enc, *solved);
   ASSERT_TRUE(sets.ok()) << sets.status();
 
   for (const auto& comp : enc->components) {

@@ -271,6 +271,107 @@ TEST(WarmChainDifferentialTest, ChainedReSolvesMatchColdAndDenseSolves) {
   EXPECT_GT(tally.warm_infeasible, 100u);
 }
 
+// ------------------------------------- Warm re-solves over new variables.
+
+/// Re-solves `sys` warm from a copy of `parent` and checks the outcome
+/// against the cold sparse and dense solves of the whole system: same
+/// verdict, and when feasible a clean tableau whose values satisfy every
+/// row. Returns the re-solved tableau through `out` when feasible.
+void ExpectWarmMatchesCold(const LinearSystem& sys, const LpTableau& parent,
+                           ChainTally* tally, LpTableau* out,
+                           bool* feasible) {
+  *out = parent;
+  WarmResult warm = ReSolveLpFeasibilityDualInPlace(sys, out);
+  LpResult cold = SolveLpFeasibility(sys);
+  LpResult dense = SolveLpFeasibilityDenseBland(sys);
+  ASSERT_FALSE(cold.aborted);
+  ASSERT_FALSE(dense.aborted);
+  ASSERT_EQ(cold.feasible, dense.feasible) << sys.ToString();
+  ASSERT_EQ(warm.status, WarmStatus::kOk) << sys.ToString();
+  ASSERT_EQ(warm.lp.feasible, cold.feasible)
+      << "warm verdict diverges:\n" << sys.ToString();
+  *feasible = warm.lp.feasible;
+  if (!warm.lp.feasible) {
+    ++tally->warm_infeasible;
+    return;
+  }
+  ++tally->warm_feasible;
+  ASSERT_EQ(warm.lp.values.size(), sys.NumVariables());
+  const std::vector<std::string> violations = AuditTableau(sys, *out);
+  ASSERT_TRUE(violations.empty())
+      << violations.front() << "\n" << sys.ToString();
+  ASSERT_TRUE(SatisfiesSystem(sys, warm.lp.values))
+      << "warm vertex violates the system:\n" << sys.ToString();
+}
+
+TEST(WarmChainDifferentialTest, AppendedVariablesMatchColdAndDenseSolves) {
+  // The Σ-delta region solve's shape: a cold-solved prefix, then new
+  // variables together with rows over old and new ones, re-solved warm; then
+  // a child (a branch row, sometimes one more variable) re-solved warm from
+  // the extended tableau, whose structural columns are no longer variable j
+  // at column j.
+  std::mt19937_64 rng(0xADD5);
+  std::uniform_int_distribution<int> nvars(2, 5);
+  std::uniform_int_distribution<int> nrows(1, 4);
+  std::uniform_int_distribution<int> new_vars(1, 3);
+  std::uniform_int_distribution<int> new_rows(1, 3);
+  std::uniform_int_distribution<int> coin(0, 1);
+  ChainTally parents;
+  ChainTally children;
+  size_t roots = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    LinearSystem sys;
+    const int nv = nvars(rng);
+    for (int v = 0; v < nv; ++v) sys.AddVariable("x" + std::to_string(v));
+    const int nr = nrows(rng);
+    for (int r = 0; r < nr; ++r) AppendRandomRow(&sys, &rng);
+    LpTableau root;
+    if (!SolveLpFeasibility(sys, &root).feasible) continue;
+    // A degenerate artificial left basic makes any basis unusable; that
+    // case has its own cold fallback and is not what this test is about.
+    bool artificial_free = true;
+    for (int b : root.basis) artificial_free = artificial_free && b >= 0;
+    if (!artificial_free) continue;
+    ++roots;
+
+    TrailScope scope(&sys);
+    const int added = new_vars(rng);
+    for (int v = 0; v < added; ++v) {
+      sys.AddVariable("z" + std::to_string(v));
+    }
+    const int rows = new_rows(rng);
+    for (int r = 0; r < rows; ++r) AppendRandomRow(&sys, &rng);
+    LpTableau extended;
+    bool feasible = false;
+    ExpectWarmMatchesCold(sys, root, &parents, &extended, &feasible);
+    ASSERT_FALSE(HasFatalFailure()) << "trial " << trial;
+    if (!feasible) continue;
+    // One slack per appended inequality, two per equality, then the new
+    // variables, last, in VarId order.
+    size_t slacks = 0;
+    for (size_t k = root.num_constraints; k < sys.NumConstraints(); ++k) {
+      slacks += sys.constraints()[k].op == RelOp::kEq ? 2 : 1;
+    }
+    ASSERT_EQ(extended.columns.size(),
+              root.columns.size() + slacks + static_cast<size_t>(added));
+    const LpColumnInfo& last = extended.columns.back();
+    EXPECT_EQ(last.kind, LpColumnInfo::Kind::kStructural);
+    EXPECT_EQ(static_cast<size_t>(last.index), sys.NumVariables() - 1);
+
+    TrailScope child_scope(&sys);
+    if (coin(rng) == 1) sys.AddVariable("w");
+    AppendRandomRow(&sys, &rng);
+    LpTableau child;
+    ExpectWarmMatchesCold(sys, extended, &children, &child, &feasible);
+    ASSERT_FALSE(HasFatalFailure()) << "trial " << trial << " (child)";
+  }
+  EXPECT_GT(roots, 300u);
+  EXPECT_GT(parents.warm_feasible, 100u);
+  EXPECT_GT(parents.warm_infeasible, 100u);
+  EXPECT_GT(children.warm_feasible, 50u);
+  EXPECT_GT(children.warm_infeasible, 50u);
+}
+
 // ------------------------------------------------------ Instrumentation.
 
 TEST(SparseKernelStatsTest, DensityCountersMatchTheSystem) {

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/deadline.h"
 #include "constraints/evaluator.h"
 #include "core/consistency.h"
 #include "core/implication.h"
@@ -33,13 +35,15 @@ using Outcome = IncrementalChecker::Outcome;
 void ExpectSameVerdict(const Dtd& dtd, SpecSession& session,
                        const ConstraintSet& sigma,
                        const ConsistencyOptions& options,
-                       const std::string& label) {
+                       const std::string& label,
+                       ConsistencyResult* session_out = nullptr) {
   auto fresh = CheckConsistency(dtd, sigma, options);
   auto via_session = session.Check(sigma);
   ASSERT_EQ(fresh.ok(), via_session.ok())
       << label << ": fresh=" << fresh.status()
       << " session=" << via_session.status();
   if (!fresh.ok()) return;
+  if (session_out != nullptr) *session_out = *via_session;
   EXPECT_EQ(fresh->consistent, via_session->consistent)
       << label << ": fresh says '" << fresh->explanation
       << "', session says '" << via_session->explanation << "'";
@@ -137,15 +141,20 @@ TEST(SpecSessionDifferentialTest, NegatedConstraintsAndFallback) {
   neg_key.Add(Constraint::Key("item1", {"id"}));
   neg_key.Add(Constraint::NegKey("item2", {"id"}));
   ExpectSameVerdict(dtd, session, neg_key, options, "negated key");
-  EXPECT_EQ(session.stats().fresh_fallbacks, 0u);
 
-  // ...while negated inclusions need the Section 5 region system, which the
-  // session routes through the fresh pipeline.
+  // ...and so do negated inclusions: the Section 5 region variables and
+  // rows are pushed onto the skeleton too, and the re-solve stays warm.
   ConstraintSet neg_inc;
   neg_inc.Add(Constraint::Inclusion("item1", {"ref"}, "item2", {"id"}));
   neg_inc.Add(Constraint::NegInclusion("item1", {"id"}, "item2", {"id"}));
-  ExpectSameVerdict(dtd, session, neg_inc, options, "negated inclusion");
-  EXPECT_GT(session.stats().fresh_fallbacks, 0u);
+  const size_t delta_checks = session.stats().sigma_delta_checks;
+  ConsistencyResult solved;
+  ExpectSameVerdict(dtd, session, neg_inc, options, "negated inclusion",
+                    &solved);
+  EXPECT_EQ(session.stats().sigma_delta_checks, delta_checks + 1);
+  EXPECT_EQ(solved.stats.sigma_delta_checks, 1u);
+  EXPECT_EQ(solved.stats.cold_restarts, 0u);
+  EXPECT_GT(solved.stats.warm_starts, 0u);
 }
 
 TEST(SpecSessionDifferentialTest, MinWitnessNodesParity) {
@@ -341,6 +350,207 @@ TEST(SpecSessionTest, KeysOnlyImplicationLemma37) {
   EXPECT_EQ(fresh->explanation, unstated->explanation);
   EXPECT_EQ(unstated->counterexample.has_value(),
             fresh->counterexample.has_value());
+}
+
+// ------------------------------------------ Implication differential.
+
+/// What one implication corpus exercised.
+struct ImpliesTally {
+  size_t implied = 0;
+  size_t not_implied = 0;
+  size_t counterexamples = 0;
+  size_t fk_refutations = 0;
+  size_t fk_warm_starts = 0;
+};
+
+/// Fresh-vs-session implication of `phi` over (D, session.committed()): the
+/// same verdict, method and explanation, a counterexample on both sides or
+/// on neither, and the session's counterexample checked independently.
+void ExpectSameImplication(const Dtd& dtd, SpecSession& session,
+                           const Constraint& phi,
+                           const ConsistencyOptions& options,
+                           const std::string& label, ImpliesTally* tally) {
+  const ConstraintSet sigma = session.committed();
+  auto fresh = CheckImplication(dtd, sigma, phi, options);
+  auto via_session = session.Implies(phi);
+  ASSERT_EQ(fresh.ok(), via_session.ok())
+      << label << ": fresh=" << fresh.status()
+      << " session=" << via_session.status();
+  if (!fresh.ok()) {
+    EXPECT_EQ(fresh.status().code(), via_session.status().code()) << label;
+    return;
+  }
+  EXPECT_EQ(fresh->implied, via_session->implied)
+      << label << ": fresh says '" << fresh->explanation
+      << "', session says '" << via_session->explanation << "'";
+  EXPECT_EQ(fresh->method, via_session->method) << label;
+  EXPECT_EQ(fresh->explanation, via_session->explanation) << label;
+  EXPECT_EQ(fresh->counterexample.has_value(),
+            via_session->counterexample.has_value())
+      << label;
+  ++(via_session->implied ? tally->implied : tally->not_implied);
+  if (via_session->counterexample.has_value()) {
+    ++tally->counterexamples;
+    const XmlTree& tree = *via_session->counterexample;
+    EXPECT_TRUE(ValidateXml(tree, dtd).valid) << label;
+    EXPECT_TRUE(Evaluate(tree, sigma).satisfied) << label;
+    EXPECT_FALSE(Evaluate(tree, phi).satisfied) << label;
+  }
+  if (phi.kind == ConstraintKind::kForeignKey &&
+      via_session->method == "refutation") {
+    // Both components ride the skeleton: the inclusion through the region
+    // system, the key through the negated-key cell.
+    ++tally->fk_refutations;
+    EXPECT_EQ(via_session->stats.cold_restarts, 0u) << label;
+    tally->fk_warm_starts += via_session->stats.warm_starts;
+  }
+}
+
+/// One session over `dtd`, asked key and foreign-key goals after each
+/// edit: nothing committed (the Lemma 3.7 branch for keys), a layer of
+/// keys, a layer of foreign keys, a layer with a negated inclusion, then
+/// two rollbacks. Committed constraints are asked back too (implied).
+void RunImpliesCorpus(const Dtd& dtd, bool witnesses, uint64_t seed,
+                      const std::string& name, ImpliesTally* tally) {
+  auto compiled = CompileDtd(dtd);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  ConsistencyOptions options;
+  options.build_witness = witnesses;
+  SpecSession session(*compiled, options);
+  const std::vector<std::pair<std::string, std::string>> pairs =
+      dtd.AllAttributePairs();
+  std::mt19937_64 rng(seed);
+  auto pick = [&] { return pairs[rng() % pairs.size()]; };
+  auto ask = [&](const std::string& stage) {
+    for (int g = 0; g < 3; ++g) {
+      const auto [t1, a1] = pick();
+      const auto [t2, a2] = pick();
+      const Constraint key = Constraint::Key(t1, {a1});
+      const Constraint fk = Constraint::ForeignKey(t1, {a1}, t2, {a2});
+      ExpectSameImplication(dtd, session, key, options,
+                            name + " " + stage + ": " + key.ToString(), tally);
+      ExpectSameImplication(dtd, session, fk, options,
+                            name + " " + stage + ": " + fk.ToString(), tally);
+    }
+    const std::vector<Constraint>& committed =
+        session.committed().constraints();
+    for (size_t i = 0; i < committed.size() && i < 3; ++i) {
+      if (committed[i].kind == ConstraintKind::kNegInclusion) continue;
+      ExpectSameImplication(dtd, session, committed[i], options,
+                            name + " " + stage + " committed: " +
+                                committed[i].ToString(),
+                            tally);
+    }
+  };
+
+  ask("empty");
+  const ConstraintSet sigma =
+      workloads::RandomUnarySigma(dtd, seed, /*keys=*/3, /*fks=*/2);
+  ConstraintSet keys;
+  ConstraintSet fks;
+  for (const Constraint& c : sigma.constraints()) {
+    (c.kind == ConstraintKind::kKey ? keys : fks).Add(c);
+  }
+  ASSERT_TRUE(session.Commit(keys).ok());
+  ask("keys");
+  ASSERT_TRUE(session.Commit(fks).ok());
+  ask("keys+fks");
+  const auto [t1, a1] = pick();
+  const auto [t2, a2] = pick();
+  ConstraintSet negated;
+  negated.Add(Constraint::NegInclusion(t1, {a1}, t2, {a2}));
+  ASSERT_TRUE(session.Commit(negated).ok());
+  ask("keys+fks+neg");
+  session.Rollback();
+  session.Rollback();
+  ask("rolled back");
+}
+
+TEST(SpecSessionImpliesDifferentialTest, CatalogAndAuctionFamilies) {
+  // Witnesses alternate with the size, so each family runs both ways.
+  ImpliesTally tally;
+  for (size_t sections = 6; sections <= 20; ++sections) {
+    RunImpliesCorpus(workloads::CatalogDtd(sections), sections % 2 == 0,
+                     /*seed=*/100 + sections,
+                     "catalog " + std::to_string(sections), &tally);
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  for (size_t regions = 3; regions <= 10; ++regions) {
+    RunImpliesCorpus(workloads::AuctionDtd(regions), regions % 2 == 1,
+                     /*seed=*/200 + regions,
+                     "auction " + std::to_string(regions), &tally);
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  EXPECT_GT(tally.implied, 50u);
+  EXPECT_GT(tally.not_implied, 50u);
+  EXPECT_GT(tally.counterexamples, 50u);
+  EXPECT_GT(tally.fk_refutations, 50u);
+  EXPECT_GT(tally.fk_warm_starts, 0u);
+}
+
+TEST(SpecSessionImpliesDifferentialTest, OversizedRegionComponentIsExhausted) {
+  // item1.id ⊆ … ⊆ item5.id joins five pairs; the goal's negated inclusion
+  // adds item6.id, one component of six pairs against a limit of three.
+  Dtd dtd = workloads::CatalogDtd(6);
+  auto compiled = CompileDtd(dtd);
+  ASSERT_TRUE(compiled.ok());
+  ConsistencyOptions options;
+  options.set_representation.max_component_pairs = 3;
+  SpecSession session(*compiled, options);
+  ConstraintSet chain;
+  for (int i = 1; i < 5; ++i) {
+    chain.Add(Constraint::Inclusion("item" + std::to_string(i), {"id"},
+                                    "item" + std::to_string(i + 1), {"id"}));
+  }
+  ASSERT_TRUE(session.Commit(chain).ok());
+  const Constraint phi =
+      Constraint::ForeignKey("item6", {"id"}, "item1", {"id"});
+  auto fresh = CheckImplication(dtd, chain, phi, options);
+  auto via_session = session.Implies(phi);
+  ASSERT_FALSE(fresh.ok());
+  ASSERT_FALSE(via_session.ok());
+  EXPECT_EQ(fresh.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(via_session.status().code(), StatusCode::kResourceExhausted);
+
+  // The failed query left the session system as it found it.
+  ImpliesTally tally;
+  ExpectSameImplication(dtd, session,
+                        Constraint::Inclusion("item1", {"id"}, "item3", {"id"}),
+                        options, "after the exhausted query", &tally);
+  ExpectSameImplication(dtd, session, Constraint::Key("item2", {"id"}),
+                        options, "after the exhausted query", &tally);
+}
+
+TEST(SpecSessionImpliesTest, PreFiredCancelStopsTheCounterexampleSolve) {
+  // Σ = ∅ and a key goal take the Lemma 3.7 branch, whose only solve is
+  // the two-element counterexample; a fired stop must end it on both paths.
+  Dtd dtd = workloads::CatalogDtd(4);
+  const Constraint phi = Constraint::Key("item1", {"id"});
+  CancelToken token;
+  token.Cancel();
+  ConsistencyOptions options;
+  options.stop.cancel = &token;
+  auto fresh = CheckImplication(dtd, ConstraintSet(), phi, options);
+  ASSERT_FALSE(fresh.ok());
+  EXPECT_EQ(fresh.status().code(), StatusCode::kCancelled);
+
+  auto compiled = CompileDtd(dtd);
+  ASSERT_TRUE(compiled.ok());
+  SpecSession session(*compiled, options);
+  auto stopped = session.Implies(phi);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled);
+
+  // Disarmed, the same session answers, and the counterexample's solve ran
+  // warm on the skeleton.
+  session.SetStop(StopSignal());
+  auto answered = session.Implies(phi);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_FALSE(answered->implied);
+  ASSERT_TRUE(answered->counterexample.has_value());
+  EXPECT_FALSE(Evaluate(*answered->counterexample, phi).satisfied);
+  EXPECT_EQ(answered->stats.cold_restarts, 0u);
+  EXPECT_GT(answered->stats.warm_starts, 0u);
 }
 
 // ------------------------------------------- IncrementalChecker ablation.
