@@ -247,70 +247,6 @@ void RunLargeBatchScaling(bench::JsonReport& report) {
   }
 }
 
-/// Multiple CompiledDtds in flight within one CheckBatchMulti call: three
-/// DTD families round-robin-interleaved, chunks regrouped per DTD, one
-/// shared memo per DTD. Verdict parity across thread counts is asserted the
-/// same way as the homogeneous section.
-void RunMultiDtdBatch(bench::JsonReport& report) {
-  bench::Header("multi-dtd batch: 3 compiled DTDs in one CheckBatchMulti");
-  workloads::MultiDtdBatchWorkload workload =
-      workloads::MultiDtdBatch(/*seed=*/11, /*dtd_count=*/3,
-                               /*queries_per_dtd=*/48);
-  std::vector<std::shared_ptr<const CompiledDtd>> compiled;
-  for (const Dtd& dtd : workload.dtds) {
-    auto artifact = CompileDtd(dtd);
-    if (!artifact.ok()) std::abort();
-    compiled.push_back(std::move(*artifact));
-  }
-  std::vector<BatchQuery> queries;
-  queries.reserve(workload.queries.size());
-  for (const auto& [dtd_index, sigma] : workload.queries) {
-    queries.push_back(BatchQuery{dtd_index, sigma});
-  }
-
-  std::printf("%8s %8s %8s %10s %9s %8s %8s\n", "threads", "dtds", "queries",
-              "best(ms)", "speedup", "chunks", "hits");
-  double one_thread_best = 0.0;
-  std::vector<char> baseline_verdicts;
-  for (size_t threads : {1, 2, 4}) {
-    BatchOptions options;
-    options.num_threads = threads;
-    options.check.build_witness = false;
-    BatchRunStats run;
-    std::vector<BatchItemResult> results;
-    double best = bench::BestTimeMs(3, [&] {
-      results = CheckBatchMulti(compiled, queries, options, nullptr, &run);
-    });
-    std::vector<char> verdicts(results.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].status.ok()) std::abort();
-      verdicts[i] = results[i].result.consistent ? 1 : 0;
-    }
-    if (threads == 1) {
-      one_thread_best = best;
-      baseline_verdicts = verdicts;
-    } else if (verdicts != baseline_verdicts) {
-      std::abort();
-    }
-    const double speedup = best > 0 ? one_thread_best / best : 0.0;
-    std::printf("%8zu %8zu %8zu %10.3f %8.2fx %8zu %8zu\n", threads,
-                compiled.size(), queries.size(), best, speedup, run.chunks,
-                run.memo_hits);
-    report.AddRow("multi_dtd")
-        .Set("threads", threads)
-        .Set("workers_effective", run.workers)
-        .Set("hardware_threads", run.hardware_threads)
-        .Set("dtds", compiled.size())
-        .Set("queries", queries.size())
-        .Set("batch_ms", best)
-        .Set("speedup_vs_1thread_x", speedup)
-        .Set("chunks", run.chunks)
-        .Set("memo_hits", run.memo_hits)
-        .Set("memo_misses", run.memo_misses)
-        .Set("verdicts_identical", true);
-  }
-}
-
 void RunDeadlineDegradation(bench::JsonReport& report) {
   bench::Header("degraded batch: 50 ms per-item deadline over a spiked mix");
   // The mix: feasible Σ's plus one deliberately exploding multi-split LIP
@@ -499,7 +435,6 @@ int main() {
   xicc::RunArtifactWarmStart(report);
   xicc::RunBatchAblation(report);
   xicc::RunLargeBatchScaling(report);
-  xicc::RunMultiDtdBatch(report);
   xicc::RunDeadlineDegradation(report);
   xicc::RunMemoAblation(report);
   report.Write();

@@ -181,33 +181,16 @@ void RunLipGadget(bench::JsonReport& report) {
   }
 }
 
-/// Solver thread count for the ablation runs: 1 by default (pivot counts
-/// are only comparable on a deterministic single-threaded search), override
-/// with XICC_BENCH_THREADS=N to re-run the ablation on a parallel solve.
-/// The choice is recorded in the JSON so a parallel run can never be
-/// mistaken for the canonical single-threaded numbers.
-size_t BenchThreads() {
-  const char* env = std::getenv("XICC_BENCH_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const long n = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || n < 1) return 1;
-  return static_cast<size_t>(n);
-}
-
 // Warm-start ablation: identical workload with the dual-simplex warm start
-// on vs. off, at XICC_BENCH_THREADS solver threads (default 1 — pivot
-// counts are only comparable on a deterministic single-threaded search).
-// Verdicts must agree exactly; the aggregate pivot ratio is the acceptance
+// on vs. off. Verdicts must agree exactly; the aggregate pivot ratio is the acceptance
 // number for the incremental search (target: ≥ 2× fewer pivots warm).
 void RunWarmStartAblation(bench::JsonReport& report) {
   bench::Header("warm-start ablation: dual-simplex re-solve vs cold phase-1");
-  const size_t bench_threads = BenchThreads();
   // Artifact provenance: with XICC_BENCH_ARTIFACT_DIR set, the flagship
   // catalog DTD is resolved through an ArtifactCache rooted there and the
   // serving tier ("cold" on the priming run, "mmap" once the artifact
-  // persists) is recorded alongside the thread count, so a run that warm-
-  // started from disk artifacts can never be mistaken for a cold one.
+  // persists) is recorded, so a run that warm-started from disk artifacts
+  // can never be mistaken for a cold one.
   const char* cache_env = std::getenv("XICC_BENCH_ARTIFACT_DIR");
   const std::string cache_dir = cache_env == nullptr ? "" : cache_env;
   const char* artifact_source = "cold";
@@ -217,7 +200,6 @@ void RunWarmStartAblation(bench::JsonReport& report) {
     if (lookup.ok()) artifact_source = ArtifactSourceName(lookup->source);
   }
   report.AddRow("config")
-      .Set("ilp_num_threads", bench_threads)
       .Set("artifact_source", artifact_source)
       .Set("artifact_cache_dir", cache_dir);
   std::printf("%-28s %6s %12s %12s %12s %12s\n", "instance", "warm",
@@ -238,7 +220,6 @@ void RunWarmStartAblation(bench::JsonReport& report) {
       ConsistencyOptions options;
       options.build_witness = false;
       options.ilp.warm_start = warm_on != 0;
-      options.ilp.num_threads = bench_threads;
       ConsistencyResult result;
       double ms = bench::TimeMs([&] {
         auto r = CheckConsistency(dtd, sigma, options);

@@ -108,11 +108,11 @@ class CancelToken {
       XICC_GUARDED_BY(mu_);
 };
 
-/// The stop condition threaded from the entry points (CLI, CheckBatch,
-/// SpecSession) down through consistency → conditional solver → worksteal
-/// workers → SolveIlp → the simplex pivot loops. Checked at bounded cost:
-/// hot loops poll every few dozen iterations, node/round loops every
-/// iteration. Default-constructed it never stops anything.
+/// The stop condition threaded from the entry points (CLI, CheckBatch and
+/// its worksteal workers, SpecSession) down through consistency →
+/// conditional solver → SolveIlp → the simplex pivot loops. Checked at
+/// bounded cost: hot loops poll every few dozen iterations, node/round
+/// loops every iteration. Default-constructed it never stops anything.
 struct StopSignal {
   Deadline deadline;
   const CancelToken* cancel = nullptr;

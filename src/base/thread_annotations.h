@@ -8,8 +8,8 @@
 // understands them and to nothing otherwise, so GCC builds are unaffected.
 // Configure with -DXICC_THREAD_SAFETY=ON under clang to turn every
 // annotation violation into a hard error (-Werror=thread-safety-analysis);
-// that build proves the locking discipline of the parallel case-split
-// search, CheckBatch, and the work-stealing pool at compile time.
+// that build proves the locking discipline of CheckBatch, the shared memo
+// and caches, xiccd, and the work-stealing pool at compile time.
 
 #include <chrono>
 #include <condition_variable>

@@ -22,11 +22,11 @@ inline size_t HardwareConcurrency() {
   return n == 0 ? 1 : static_cast<size_t>(n);
 }
 
-/// A small work-stealing thread pool for coarse-grained search tasks (the
-/// parallel top of the conditional case-split tree, batch query stripes).
+/// A small work-stealing thread pool for coarse-grained tasks (CheckBatch's
+/// query chunks).
 ///
 /// Each worker owns a deque shard: it pops its own work from the front
-/// (LIFO-ish locality for DFS prefixes) and, when empty, steals from the
+/// (LIFO-ish locality) and, when empty, steals from the
 /// back of a sibling's shard. Tasks are distributed round-robin at
 /// submission. Shards are individually locked and cache-line padded
 /// (alignas(64)), so two workers touching adjacent deque tops never

@@ -9,28 +9,10 @@ namespace xicc {
 
 namespace {
 
-/// Uniform view over the single-DTD and multi-DTD entry points, so the
-/// scheduler below has exactly one implementation. No copies: both shapes
-/// are referenced in place.
-struct QueryView {
-  const std::vector<ConstraintSet>* single = nullptr;
-  const std::vector<BatchQuery>* multi = nullptr;
-
-  size_t size() const {
-    return single != nullptr ? single->size() : multi->size();
-  }
-  size_t DtdIndex(size_t i) const {
-    return single != nullptr ? 0 : (*multi)[i].dtd_index;
-  }
-  const ConstraintSet& Sigma(size_t i) const {
-    return single != nullptr ? (*single)[i] : (*multi)[i].sigma;
-  }
-};
-
-/// One chunk of work: a run of query indices, all against the same DTD.
+/// One chunk of work: the query indices [begin, end).
 struct Chunk {
-  size_t dtd_index = 0;
-  std::vector<size_t> items;
+  size_t begin = 0;
+  size_t end = 0;
 };
 
 /// Per-chunk tallies — owned by exactly one pool task, merged after the
@@ -47,7 +29,7 @@ struct ChunkTally {
 /// acquire at start and release at end, so the lock is taken twice per
 /// CHUNK (not per query) and held for O(1) pointer work — session setup
 /// (the skeleton + tableau copy inside the SpecSession constructor) is
-/// paid once per worker per DTD in the steady state, not once per stripe.
+/// paid once per worker in the steady state, not once per stripe.
 class SessionPool {
  public:
   SessionPool(std::shared_ptr<const CompiledDtd> compiled,
@@ -94,7 +76,7 @@ class SessionPool {
 /// without a verdict (deadline, cancel, per-item input errors) are
 /// quarantined into their slot — with partial statistics — and the chunk
 /// keeps draining.
-void RunChunk(const QueryView& queries, const Chunk& chunk,
+void RunChunk(const std::vector<ConstraintSet>& queries, const Chunk& chunk,
               const BatchOptions& options, SessionPool* pool,
               std::vector<BatchItemResult>* results, ChunkTally* tally) {
   if (options.cancel != nullptr && options.cancel->Cancelled()) {
@@ -103,7 +85,7 @@ void RunChunk(const QueryView& queries, const Chunk& chunk,
     return;
   }
   std::unique_ptr<SpecSession> session = pool->Acquire(tally);
-  for (size_t i : chunk.items) {
+  for (size_t i = chunk.begin; i < chunk.end; ++i) {
     BatchItemResult& slot = (*results)[i];
     if (options.cancel != nullptr && options.cancel->Cancelled()) break;
     // Arm this item's stop: the shared batch cancel plus a fresh per-item
@@ -115,7 +97,7 @@ void RunChunk(const QueryView& queries, const Chunk& chunk,
       stop.deadline = Deadline::After(options.item_timeout_ms);
     }
     session->SetStop(stop);
-    Result<ConsistencyResult> checked = session->Check(queries.Sigma(i));
+    Result<ConsistencyResult> checked = session->Check(queries[i]);
     if (!checked.ok() &&
         checked.status().code() == StatusCode::kDeadlineExceeded &&
         options.deadline_retry_factor > 0 &&
@@ -128,7 +110,7 @@ void RunChunk(const QueryView& queries, const Chunk& chunk,
           options.item_timeout_ms *
           static_cast<int64_t>(options.deadline_retry_factor));
       session->SetStop(stop);
-      checked = session->Check(queries.Sigma(i));
+      checked = session->Check(queries[i]);
       if (checked.ok()) ++tally->rescues;
     }
     StageTimer write_timer(&session->stage_tally(), Stage::kResultWrite);
@@ -146,14 +128,16 @@ void RunChunk(const QueryView& queries, const Chunk& chunk,
   pool->Release(std::move(session));
 }
 
-std::vector<BatchItemResult> CheckBatchImpl(
-    const std::vector<std::shared_ptr<const CompiledDtd>>& compiled,
-    const QueryView& queries, const BatchOptions& options,
+}  // namespace
+
+std::vector<BatchItemResult> CheckBatch(
+    std::shared_ptr<const CompiledDtd> compiled,
+    const std::vector<ConstraintSet>& queries, const BatchOptions& options,
     BatchDegradedStats* degraded, BatchRunStats* run) {
   std::vector<BatchItemResult> results(queries.size());
   if (degraded != nullptr) *degraded = BatchDegradedStats{};
   if (run != nullptr) *run = BatchRunStats{};
-  if (queries.size() == 0) return results;
+  if (queries.empty()) return results;
 
   // Pre-fill every slot with the cancelled sentinel: a cancelled pool drains
   // queued chunk tasks WITHOUT running them, and those chunks' items must
@@ -182,57 +166,26 @@ std::vector<BatchItemResult> CheckBatchImpl(
     chunk_size = std::max<size_t>(1, queries.size() / (threads * 8));
   }
 
-  // Per-DTD session pools, each with its own shared memo (the canonical
-  // memo key is Σ-only, so sharing a memo across DTDs would cross-serve
-  // verdicts between different schemas).
-  std::vector<std::unique_ptr<SessionPool>> pools;
-  pools.reserve(compiled.size());
-  for (const std::shared_ptr<const CompiledDtd>& artifact : compiled) {
-    std::shared_ptr<SharedSigmaMemo> memo;
-    if (options.memo_capacity > 0) {
-      memo = std::make_shared<SharedSigmaMemo>(
-          threads * options.memo_capacity,
-          /*num_shards=*/std::max<size_t>(16, threads * 4));
-    }
-    pools.push_back(
-        std::make_unique<SessionPool>(artifact, options.check, memo));
+  // One session pool over the DTD, its sessions sharing one memo.
+  std::shared_ptr<SharedSigmaMemo> memo;
+  if (options.memo_capacity > 0) {
+    memo = std::make_shared<SharedSigmaMemo>(
+        threads * options.memo_capacity,
+        /*num_shards=*/std::max<size_t>(16, threads * 4));
   }
+  SessionPool sessions(std::move(compiled), options.check, std::move(memo));
 
-  // Build chunks: group indices by DTD (preserving batch order within each
-  // group) and split every group into runs of `chunk_size`. Out-of-range
-  // dtd_index values quarantine immediately — per-item failure, never a
-  // batch abort.
+  // Contiguous runs of `chunk_size` queries, in batch order.
   std::vector<Chunk> chunks;
-  {
-    std::vector<std::vector<size_t>> by_dtd(compiled.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const size_t dtd = queries.DtdIndex(i);
-      if (dtd >= compiled.size()) {
-        results[i].status = Status::InvalidArgument(
-            "query references DTD index " + std::to_string(dtd) +
-            " but the batch has " + std::to_string(compiled.size()) +
-            " compiled DTD(s)");
-        continue;
-      }
-      by_dtd[dtd].push_back(i);
-    }
-    for (size_t dtd = 0; dtd < by_dtd.size(); ++dtd) {
-      const std::vector<size_t>& indices = by_dtd[dtd];
-      for (size_t begin = 0; begin < indices.size(); begin += chunk_size) {
-        const size_t end = std::min(indices.size(), begin + chunk_size);
-        Chunk chunk;
-        chunk.dtd_index = dtd;
-        chunk.items.assign(indices.begin() + begin, indices.begin() + end);
-        chunks.push_back(std::move(chunk));
-      }
-    }
+  for (size_t begin = 0; begin < queries.size(); begin += chunk_size) {
+    chunks.push_back(
+        Chunk{begin, std::min(queries.size(), begin + chunk_size)});
   }
 
   std::vector<ChunkTally> tallies(chunks.size());
   if (threads <= 1) {
     for (size_t c = 0; c < chunks.size(); ++c) {
-      RunChunk(queries, chunks[c], options, pools[chunks[c].dtd_index].get(),
-               &results, &tallies[c]);
+      RunChunk(queries, chunks[c], options, &sessions, &results, &tallies[c]);
     }
   } else {
     // Each chunk writes only its own items' slots, so the result vector
@@ -242,8 +195,8 @@ std::vector<BatchItemResult> CheckBatchImpl(
     WorkStealingPool pool(threads, options.cancel);
     for (size_t c = 0; c < chunks.size(); ++c) {
       pool.Submit([&, c] {
-        RunChunk(queries, chunks[c], options, pools[chunks[c].dtd_index].get(),
-                 &results, &tallies[c]);
+        RunChunk(queries, chunks[c], options, &sessions, &results,
+                 &tallies[c]);
       });
     }
     pool.Wait();
@@ -258,14 +211,12 @@ std::vector<BatchItemResult> CheckBatchImpl(
       run->session_reuses += tally.session_reused;
       run->sessions_created += tally.session_created;
     }
-    for (const std::unique_ptr<SessionPool>& pool : pools) {
-      pool->ForEachSession([&](const SpecSession& session) {
-        run->stages.Merge(session.stage_tally());
-        run->memo_hits += session.stats().memo_hits;
-        run->memo_misses += session.stats().memo_misses;
-        run->memo_evictions += session.stats().memo_evictions;
-      });
-    }
+    sessions.ForEachSession([&](const SpecSession& session) {
+      run->stages.Merge(session.stage_tally());
+      run->memo_hits += session.stats().memo_hits;
+      run->memo_misses += session.stats().memo_misses;
+      run->memo_evictions += session.stats().memo_evictions;
+    });
   }
 
   if (degraded != nullptr) {
@@ -294,28 +245,6 @@ std::vector<BatchItemResult> CheckBatchImpl(
     }
   }
   return results;
-}
-
-}  // namespace
-
-std::vector<BatchItemResult> CheckBatch(
-    std::shared_ptr<const CompiledDtd> compiled,
-    const std::vector<ConstraintSet>& queries, const BatchOptions& options,
-    BatchDegradedStats* degraded, BatchRunStats* run) {
-  std::vector<std::shared_ptr<const CompiledDtd>> artifacts;
-  artifacts.push_back(std::move(compiled));
-  QueryView view;
-  view.single = &queries;
-  return CheckBatchImpl(artifacts, view, options, degraded, run);
-}
-
-std::vector<BatchItemResult> CheckBatchMulti(
-    const std::vector<std::shared_ptr<const CompiledDtd>>& compiled,
-    const std::vector<BatchQuery>& queries, const BatchOptions& options,
-    BatchDegradedStats* degraded, BatchRunStats* run) {
-  QueryView view;
-  view.multi = &queries;
-  return CheckBatchImpl(compiled, view, options, degraded, run);
 }
 
 }  // namespace xicc

@@ -13,7 +13,7 @@ struct BatchOptions {
   /// Worker count. 1 (the default) runs one session sequentially — fully
   /// deterministic, including statistics. With N > 1 the queries are split
   /// into chunks scheduled over a work-stealing pool of N workers sharing
-  /// the CompiledDtd(s); per-query verdicts/results are deterministic
+  /// the CompiledDtd; per-query verdicts/results are deterministic
   /// either way (each query's answer depends only on its own constraint
   /// set), only memo locality differs. Requests beyond the hardware thread
   /// count are clamped to it — oversubscribing a CPU-bound batch only adds
@@ -22,9 +22,8 @@ struct BatchOptions {
   /// Options applied by every worker session.
   ConsistencyOptions check;
   /// Per-worker memo contribution: the workers share ONE hash-sharded
-  /// SharedSigmaMemo of `num_threads × memo_capacity` entries PER DTD, so
-  /// an identical query hits no matter which chunk answered it first (and
-  /// never leaks across DTDs — the canonical key is Σ-only). 0 turns
+  /// SharedSigmaMemo of `num_threads × memo_capacity` entries, so an
+  /// identical query hits no matter which chunk answered it first. 0 turns
   /// memoization (and canonical-key hashing) off in every worker.
   size_t memo_capacity = 128;
   /// Queries per scheduled chunk (0 = auto: enough chunks for ~8 steals
@@ -126,23 +125,5 @@ std::vector<BatchItemResult> CheckBatch(
     const std::vector<ConstraintSet>& queries,
     const BatchOptions& options = {}, BatchDegradedStats* degraded = nullptr,
     BatchRunStats* run = nullptr);
-
-/// One query of a heterogeneous batch: `dtd_index` picks which of the
-/// batch's compiled DTDs `sigma` is checked against.
-struct BatchQuery {
-  size_t dtd_index = 0;
-  ConstraintSet sigma;
-};
-
-/// The multi-DTD batch front-end: many compiled DTDs in flight within one
-/// call, each query routed to its DTD's session pool and per-DTD shared
-/// memo. Chunks never span DTDs (a chunk's session is bound to one
-/// artifact), but chunks of different DTDs run concurrently on the same
-/// worker pool. An out-of-range dtd_index quarantines that item with
-/// kInvalidArgument; the rest of the batch is unaffected.
-std::vector<BatchItemResult> CheckBatchMulti(
-    const std::vector<std::shared_ptr<const CompiledDtd>>& compiled,
-    const std::vector<BatchQuery>& queries, const BatchOptions& options = {},
-    BatchDegradedStats* degraded = nullptr, BatchRunStats* run = nullptr);
 
 }  // namespace xicc

@@ -30,9 +30,7 @@ struct CaseSplitWarmContext {
   bool valid = false;
   /// Scratch the optimistic-leaf solve's root node copies `base_tableau`
   /// into (see IlpOptions::root_scratch). Lives here so its row buffers
-  /// persist across the context's many solves; never touched by the
-  /// parallel DFS workers (each keeps its own), so single-ownership follows
-  /// from the context's own one-thread contract.
+  /// persist across the context's many solves.
   LpTableau root_scratch;
 };
 
@@ -49,13 +47,8 @@ struct CaseSplitWarmContext {
 /// Incrementality: the DFS runs on ONE trail-managed system (push a
 /// resolution, recurse, pop), and every prune/leaf solve warm starts from
 /// the parent node's LP basis via dual simplex — the presolve probes and
-/// the fully-resolved leaf ILPs included. With options.num_threads > 1 the
-/// first ~log2(num_threads)+1 levels of the split tree fan out onto a small
-/// work-stealing pool (each task owns a private copy of the system; deeper
-/// levels stay sequential-warm-started within the task); each task adds its
-/// counters once, when it finishes, and the verdict is identical to the
-/// sequential one — num_threads = 1 (the default) keeps behaviour and
-/// statistics fully deterministic.
+/// the fully-resolved leaf ILPs included. The search is sequential, so its
+/// statistics are deterministic.
 ///
 /// Compared with the big-M linearization (ApplyBigMLinearization) this
 /// avoids astronomically large coefficients; the ablation bench compares

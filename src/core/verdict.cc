@@ -380,6 +380,7 @@ Result<ImplicationResult> DecideImplication(FreshPath& path,
                                             const ConstraintSet& sigma,
                                             const Constraint& phi,
                                             const ConsistencyOptions& options) {
+  XICC_RETURN_IF_ERROR(CheckNotStopped(options));
   {
     ConstraintSet just_phi;
     just_phi.Add(phi);
@@ -405,6 +406,7 @@ Result<ImplicationResult> DecideImplication(FreshPath& path,
         ImplicationResult on_key,
         DecideImplication(path, sigma, Constraint::Key(phi.type2, phi.attrs2),
                           options));
+    on_key.stats.Add(on_inclusion.stats);
     if (!on_key.implied) {
       on_key.explanation =
           "the key component is not implied; " + on_key.explanation;

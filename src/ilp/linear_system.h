@@ -50,7 +50,7 @@ enum class RelOp {
 /// One row: expr (op) rhs, with rhs folded together with expr's constant.
 /// Coefficients are a flat vector sorted by VarId — one allocation per row
 /// instead of a map node (plus BigInt limbs) per term, which is what makes
-/// trail push/pop and whole-system copies in the case-split fan-out cheap.
+/// trail push/pop and whole-system copies (a session's skeleton) cheap.
 struct LinearConstraint {
   std::vector<std::pair<VarId, Num>> coeffs;
   RelOp op;

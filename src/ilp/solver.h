@@ -35,11 +35,6 @@ struct IlpOptions {
   /// path remains the fallback whenever a warm basis is unusable, so
   /// verdicts are identical either way). Off is kept for the ablation bench.
   bool warm_start = true;
-  /// Worker threads for the conditional case-split fan-out (see
-  /// SolveWithConditionals): 1 keeps everything sequential and the statistics
-  /// deterministic; >1 explores the top of the split tree in parallel with
-  /// an unchanged verdict. Plain SolveIlp is always single-threaded.
-  size_t num_threads = 1;
   /// Caller-owned scratch tableau the ROOT branch-and-bound node copies the
   /// warm hint into (instead of a tableau from the solve's own free list,
   /// which starts empty on every call). Re-passing the same scratch across
@@ -116,8 +111,8 @@ struct SolveCounters {
 
 /// Measures the calling thread's two-tier arithmetic and arena traffic from
 /// construction on. Every scope that owns a slice of a thread — a
-/// branch-and-bound search, a case split, one parallel prefix task — holds
-/// one, so each thread's traffic is counted exactly once.
+/// branch-and-bound search, a case split — holds one, so each thread's
+/// traffic is counted exactly once.
 class ThreadTraffic {
  public:
   ThreadTraffic();

@@ -31,7 +31,7 @@
 //            [witness]
 //            → {"ok":true,"consistent":b,"class","method",
 //               ["witness_nodes":N],"stats":{}}
-//   implies  (session | dtd+sigma) phi [timeout_ms]
+//   implies  (session | dtd+sigma) phi [timeout_ms] [witness]
 //            → {"ok":true,"implied":b,"method",
 //               ["counterexample_nodes":N],"stats":{}}
 //   commit   session sigma                        → {"ok":true}
@@ -44,7 +44,7 @@
 // witness_nodes / counterexample_nodes give the size of the checked
 // witness document (consistent) or counterexample (not implied) the query
 // built. A session builds them when opened with "witness": true, a one-shot
-// check when it carries "witness": true; a one-shot implies always does.
+// check or implies when it carries "witness": true.
 
 #include <cstdint>
 #include <string>

@@ -773,6 +773,7 @@ class ServerImpl {
     }
     ConsistencyOptions options;
     options.stop = stop;
+    options.build_witness = req.build_witness;
     SpecSession session(std::move(*compiled), options, /*memo_capacity=*/0);
     const Status committed = session.Commit(sigma);
     if (!committed.ok()) return MakeErrorResponse(req.id, committed);

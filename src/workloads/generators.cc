@@ -254,33 +254,6 @@ std::vector<ConstraintSet> SigmaDeltaBatch(const Dtd& dtd, uint64_t seed,
   return batch;
 }
 
-MultiDtdBatchWorkload MultiDtdBatch(uint64_t seed, size_t dtd_count,
-                                    size_t queries_per_dtd) {
-  assert(dtd_count >= 1);
-  MultiDtdBatchWorkload workload;
-  workload.dtds.reserve(dtd_count);
-  std::vector<std::vector<ConstraintSet>> per_dtd(dtd_count);
-  for (size_t d = 0; d < dtd_count; ++d) {
-    // Alternate the two naturalistic families at growing sizes so the DTDs
-    // genuinely differ (different element names, different skeleton sizes).
-    Dtd dtd = (d % 2 == 0) ? CatalogDtd(2 + d) : AuctionDtd(1 + d / 2);
-    per_dtd[d] = SigmaDeltaBatch(dtd, seed + d, queries_per_dtd,
-                                 /*min_constraints=*/1, /*max_constraints=*/4,
-                                 /*dup_percent=*/25);
-    workload.dtds.push_back(std::move(dtd));
-  }
-  // Round-robin interleave, so consecutive queries usually target different
-  // DTDs and the batch scheduler has to regroup them into per-DTD chunks.
-  for (size_t q = 0; q < queries_per_dtd; ++q) {
-    for (size_t d = 0; d < dtd_count; ++d) {
-      if (q < per_dtd[d].size()) {
-        workload.queries.emplace_back(d, std::move(per_dtd[d][q]));
-      }
-    }
-  }
-  return workload;
-}
-
 BinaryLipInstance RandomLip(uint64_t seed, size_t rows, size_t cols,
                             size_t ones_per_row) {
   assert(cols >= 1 && ones_per_row >= 1 && ones_per_row <= cols);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "constraints/constraint.h"
@@ -68,18 +67,6 @@ std::vector<ConstraintSet> SigmaDeltaBatch(const Dtd& dtd, uint64_t seed,
                                            size_t min_constraints,
                                            size_t max_constraints,
                                            size_t dup_percent);
-
-/// Heterogeneous batch input: several DTDs with queries routed to each —
-/// the CheckBatchMulti workload. `queries` pairs a DTD index with its Σ;
-/// query order interleaves the DTDs round-robin so chunking has to split
-/// per DTD. Kept core-free (plain indices, not core/batch.h types) so the
-/// workload library stays usable from benches and tests alike.
-struct MultiDtdBatchWorkload {
-  std::vector<Dtd> dtds;
-  std::vector<std::pair<size_t, ConstraintSet>> queries;
-};
-MultiDtdBatchWorkload MultiDtdBatch(uint64_t seed, size_t dtd_count,
-                                    size_t queries_per_dtd);
 
 /// A 0/1 linear system A·x = 1 (every row sums to exactly one over chosen
 /// columns) — the LIP variant of Theorem 4.7.

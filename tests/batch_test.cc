@@ -466,94 +466,6 @@ TEST(BatchTest, ChunkSizeSweepNeverChangesVerdicts) {
   }
 }
 
-/// The per-DTD memo-isolation pair: the SAME Σ (one negated key on e.id),
-/// whose canonical memo key is Σ-only, answered over two DTDs where the
-/// verdicts differ. `r → e e` can give both e-nodes the same id, so "id is
-/// not a key" is satisfiable; `r → e` has exactly one e-node in every valid
-/// tree, so it is not. A memo shared across DTDs would cross-serve one
-/// DTD's verdict to the other.
-TEST(BatchTest, MultiDtdBatchKeepsMemosIsolatedPerDtd) {
-  DtdBuilder two_builder;
-  two_builder.SetRoot("r");
-  {
-    std::vector<RegexPtr> children;
-    children.push_back(Regex::Elem("e"));
-    children.push_back(Regex::Elem("e"));
-    two_builder.AddElement("r", Regex::ConcatAll(std::move(children)));
-  }
-  two_builder.AddElement("e", Regex::Epsilon());
-  two_builder.AddAttribute("e", "id");
-  auto two_e = two_builder.Build();
-  ASSERT_TRUE(two_e.ok()) << two_e.status();
-
-  DtdBuilder one_builder;
-  one_builder.SetRoot("r");
-  one_builder.AddElement("r", Regex::Elem("e"));
-  one_builder.AddElement("e", Regex::Epsilon());
-  one_builder.AddAttribute("e", "id");
-  auto one_e = one_builder.Build();
-  ASSERT_TRUE(one_e.ok()) << one_e.status();
-
-  auto compiled_two = CompileDtd(*two_e);
-  auto compiled_one = CompileDtd(*one_e);
-  ASSERT_TRUE(compiled_two.ok());
-  ASSERT_TRUE(compiled_one.ok());
-  std::vector<std::shared_ptr<const CompiledDtd>> compiled = {*compiled_two,
-                                                              *compiled_one};
-
-  ConstraintSet neg;
-  neg.Add(Constraint::NegKey("e", {"id"}));
-  // Interleave the two DTDs repeatedly: with per-DTD memos the repeats hit
-  // within their own DTD; with one cross-DTD memo the second DTD's first
-  // query would be served the first DTD's cached (opposite) verdict.
-  std::vector<BatchQuery> queries;
-  for (int round = 0; round < 6; ++round) {
-    queries.push_back(BatchQuery{0, neg});
-    queries.push_back(BatchQuery{1, neg});
-  }
-
-  for (size_t threads : {1, 4}) {
-    BatchOptions options;
-    options.num_threads = threads;
-    options.check.build_witness = false;
-    BatchRunStats run;
-    std::vector<BatchItemResult> results =
-        CheckBatchMulti(compiled, queries, options, nullptr, &run);
-    ASSERT_EQ(results.size(), queries.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      ASSERT_TRUE(results[i].status.ok()) << "item " << i;
-      const bool expect_consistent = queries[i].dtd_index == 0;
-      EXPECT_EQ(results[i].result.consistent, expect_consistent)
-          << "threads=" << threads << " item " << i << " (dtd "
-          << queries[i].dtd_index << ")";
-    }
-    // The repeats must actually have exercised the memos for the isolation
-    // claim to mean anything.
-    EXPECT_GT(run.memo_hits, 0u);
-  }
-}
-
-TEST(BatchTest, MultiDtdOutOfRangeIndexQuarantinesOnlyThatItem) {
-  Dtd dtd = workloads::CatalogDtd(1);
-  auto compiled_or = CompileDtd(dtd);
-  ASSERT_TRUE(compiled_or.ok());
-  std::vector<std::shared_ptr<const CompiledDtd>> compiled = {*compiled_or};
-
-  std::vector<BatchQuery> queries;
-  queries.push_back(BatchQuery{0, workloads::AllKeysSigma(dtd)});
-  queries.push_back(BatchQuery{7, workloads::AllKeysSigma(dtd)});  // bad
-  queries.push_back(BatchQuery{0, ConstraintSet()});
-
-  BatchDegradedStats degraded;
-  std::vector<BatchItemResult> results =
-      CheckBatchMulti(compiled, queries, {}, &degraded);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].status.ok());
-  EXPECT_EQ(results[1].status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(results[2].status.ok());
-  EXPECT_EQ(degraded.quarantined, 1u);
-}
-
 TEST(BatchTest, RunStatsAccountForScheduleStagesAndSessions) {
   Dtd dtd = workloads::CatalogDtd(3);
   auto compiled = CompileDtd(dtd);

@@ -186,6 +186,32 @@ TEST(DaemonTest, ImpliesReportsTheCounterexampleTheSessionBuilt) {
   EXPECT_EQ(bare.Find("counterexample_nodes"), nullptr) << bare.Dump();
 }
 
+// A one-shot implies, like a one-shot check, builds a counterexample only
+// when the request carries "witness": true.
+TEST(DaemonTest, OneShotImpliesBuildsACounterexampleOnlyWhenAsked) {
+  auto server = MustStart({});
+  ASSERT_NE(server, nullptr);
+  Client client = MustConnect(*server);
+  const std::string dtd = workloads::CatalogDtd(2).ToString();
+  for (bool witness : {false, true}) {
+    JsonValue request = Req("implies", witness ? 2 : 1)
+                            .Set("dtd", JsonValue::Str(dtd))
+                            .Set("phi", JsonValue::Str("key item1(id)"));
+    if (witness) request.Set("witness", JsonValue::Bool(true));
+    auto response = client.Call(request);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->GetBool("ok", false)) << response->Dump();
+    EXPECT_FALSE(response->GetBool("implied", true));
+    if (witness) {
+      EXPECT_GE(response->GetInt("counterexample_nodes", 0), 4)
+          << response->Dump();
+    } else {
+      EXPECT_EQ(response->Find("counterexample_nodes"), nullptr)
+          << response->Dump();
+    }
+  }
+}
+
 TEST(DaemonTest, MalformedFramesAnswerInvalidArgumentAndConnectionLives) {
   ServerOptions options;
   options.max_line_bytes = 512;

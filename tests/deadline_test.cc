@@ -28,7 +28,7 @@ int64_t MsSince(std::chrono::steady_clock::time_point start) {
 /// A consistent LIP instance whose unrestrained solve takes hundreds of
 /// milliseconds — far past the 50 ms budgets below, including one 4×
 /// escalated retry. The multi-conditional case split is what makes it
-/// explode: every conditional doubles the prefix fan-out.
+/// explode: every conditional doubles the split tree.
 workloads::LipEncoding ExplodingSpec() {
   return workloads::EncodeLipAsConsistency(
       workloads::RandomLip(/*seed=*/3, /*rows=*/12, /*cols=*/24,

@@ -227,28 +227,25 @@ Dtd TinyRandomDtd(std::mt19937_64* rng) {
   auto atom = [&](int i) { return Regex::Elem("t" + std::to_string(i)); };
   std::uniform_int_distribution<int> pick(0, 5);
   auto content = [&](int above) -> RegexPtr {
-    // Types reference strictly higher indices (DAG → always productive).
+    const int kind = pick(*rng);
+    // Types reference strictly higher indices (DAG → always productive);
+    // the last type has none to reference, so its content is ε.
+    if (kind == 0 || above > 3) return Regex::Epsilon();
     std::uniform_int_distribution<int> ref(above, 3);
-    switch (pick(*rng)) {
-      case 0:
-        return Regex::Epsilon();
+    switch (kind) {
       case 1:
-        return above > 3 ? Regex::Epsilon() : Regex::Star(atom(ref(*rng)));
+        return Regex::Star(atom(ref(*rng)));
       case 2:
-        return above > 3 ? Regex::Epsilon()
-                         : Regex::Union(atom(ref(*rng)), Regex::Epsilon());
+        return Regex::Union(atom(ref(*rng)), Regex::Epsilon());
       case 3: {
-        if (above > 3) return Regex::Epsilon();
         int a = ref(*rng);
         int b = ref(*rng);
         return Regex::Concat(atom(a), atom(b));
       }
       case 4:
-        return above > 3 ? Regex::Epsilon()
-                         : Regex::Concat(atom(ref(*rng)),
-                                         Regex::Star(atom(ref(*rng))));
+        return Regex::Concat(atom(ref(*rng)), Regex::Star(atom(ref(*rng))));
       default:
-        return above > 3 ? Regex::Epsilon() : atom(ref(*rng));
+        return atom(ref(*rng));
     }
   };
   builder.AddElement("r", content(1));

@@ -553,6 +553,79 @@ TEST(SpecSessionImpliesTest, PreFiredCancelStopsTheCounterexampleSolve) {
   EXPECT_GT(answered->stats.warm_starts, 0u);
 }
 
+TEST(SpecSessionImpliesTest, PreFiredStopEndsTheQueryBeforeAnyVerdict) {
+  // Without witnesses the Lemma 3.7 branch runs no solve at all, so only
+  // the query's own stop check keeps a fired stop from answering: for a
+  // goal the branch would call not implied, and for a subsumed one.
+  Dtd dtd = workloads::CatalogDtd(4);
+  auto compiled = CompileDtd(dtd);
+  ASSERT_TRUE(compiled.ok());
+  const Constraint phi = Constraint::Key("item1", {"id"});
+  ConstraintSet subsuming;
+  subsuming.Add(phi);
+  CancelToken token;
+  token.Cancel();
+  ConsistencyOptions options;
+  options.build_witness = false;
+  options.stop.cancel = &token;
+  for (const ConstraintSet& sigma : {ConstraintSet(), subsuming}) {
+    const std::string what = sigma.constraints().empty() ? "not implied"
+                                                         : "subsumed";
+    auto fresh = CheckImplication(dtd, sigma, phi, options);
+    ASSERT_FALSE(fresh.ok()) << what;
+    EXPECT_EQ(fresh.status().code(), StatusCode::kCancelled) << what;
+
+    SpecSession session(*compiled, options);
+    ASSERT_TRUE(session.Commit(sigma).ok());
+    auto via_session = session.Implies(phi);
+    ASSERT_FALSE(via_session.ok()) << what;
+    EXPECT_EQ(via_session.status().code(), StatusCode::kCancelled) << what;
+  }
+}
+
+TEST(SpecSessionImpliesTest, ForeignKeyStatsSumBothComponents) {
+  // A foreign-key goal is decided as its inclusion and its key component;
+  // its report counts the work of both.
+  Dtd dtd = workloads::CatalogDtd(3);
+  auto compiled = CompileDtd(dtd);
+  ASSERT_TRUE(compiled.ok());
+  ConstraintSet sigma;
+  sigma.Add(Constraint::Inclusion("item1", {"id"}, "item2", {"id"}));
+  sigma.Add(Constraint::Key("item2", {"id"}));
+  sigma.Add(Constraint::NegKey("item3", {"id"}));
+  const Constraint fk =
+      Constraint::ForeignKey("item1", {"id"}, "item2", {"id"});
+  const Constraint inclusion =
+      Constraint::Inclusion("item1", {"id"}, "item2", {"id"});
+  const Constraint key = Constraint::Key("item2", {"id"});
+  ConsistencyOptions options;
+  options.build_witness = false;
+
+  auto fresh_fk = CheckImplication(dtd, sigma, fk, options);
+  auto fresh_inclusion = CheckImplication(dtd, sigma, inclusion, options);
+  auto fresh_key = CheckImplication(dtd, sigma, key, options);
+  ASSERT_TRUE(fresh_fk.ok()) << fresh_fk.status();
+  ASSERT_TRUE(fresh_inclusion.ok()) << fresh_inclusion.status();
+  ASSERT_TRUE(fresh_key.ok()) << fresh_key.status();
+  EXPECT_TRUE(fresh_fk->implied);
+  EXPECT_GT(fresh_inclusion->stats.lp_pivots, 0u);
+  EXPECT_GT(fresh_key->stats.lp_pivots, 0u);
+  EXPECT_EQ(fresh_fk->stats.lp_pivots,
+            fresh_inclusion->stats.lp_pivots + fresh_key->stats.lp_pivots);
+
+  SpecSession session(*compiled, options, /*memo_capacity=*/0);
+  ASSERT_TRUE(session.Commit(sigma).ok());
+  auto session_fk = session.Implies(fk);
+  auto session_inclusion = session.Implies(inclusion);
+  auto session_key = session.Implies(key);
+  ASSERT_TRUE(session_fk.ok()) << session_fk.status();
+  ASSERT_TRUE(session_inclusion.ok()) << session_inclusion.status();
+  ASSERT_TRUE(session_key.ok()) << session_key.status();
+  EXPECT_TRUE(session_fk->implied);
+  EXPECT_EQ(session_fk->stats.lp_pivots, session_inclusion->stats.lp_pivots +
+                                             session_key->stats.lp_pivots);
+}
+
 // ------------------------------------------- IncrementalChecker ablation.
 
 TEST(IncrementalSessionTest, SessionAndFreshModesAgreeOnOutcomeSequences) {
