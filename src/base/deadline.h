@@ -25,10 +25,23 @@ class Deadline {
   static Deadline Infinite() { return Deadline(); }
 
   /// Expires `ms` milliseconds from now (clamped to now for negative `ms`).
+  /// A deadline past the clock's range never comes: it saturates to
+  /// Infinite() instead of overflowing into the past.
   static Deadline After(int64_t ms) {
+    const Clock::time_point now = Clock::now();
+    const int64_t headroom_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::time_point::max() - now)
+            .count();
+    if (ms >= headroom_ms) return Infinite();
     Deadline d;
-    d.at_ = Clock::now() + std::chrono::milliseconds(ms < 0 ? 0 : ms);
+    d.at_ = now + std::chrono::milliseconds(ms < 0 ? 0 : ms);
     return d;
+  }
+
+  /// The deadline that comes first.
+  static Deadline Earliest(const Deadline& a, const Deadline& b) {
+    return a.at_ <= b.at_ ? a : b;
   }
 
   bool IsInfinite() const { return at_ == Clock::time_point::max(); }
@@ -109,10 +122,11 @@ class CancelToken {
 };
 
 /// The stop condition threaded from the entry points (CLI, CheckBatch and
-/// its worksteal workers, SpecSession) down through consistency →
-/// conditional solver → SolveIlp → the simplex pivot loops. Checked at
-/// bounded cost: hot loops poll every few dozen iterations, node/round
-/// loops every iteration. Default-constructed it never stops anything.
+/// its worksteal workers, SpecSession) down through consistency → the ILP
+/// search (SolveWithConditionals / SolveIlp) → the simplex pivot loops.
+/// Checked at bounded cost: hot loops poll every few dozen iterations;
+/// search nodes, cut rounds and presolve probes poll every iteration.
+/// Default-constructed it never stops anything.
 struct StopSignal {
   Deadline deadline;
   const CancelToken* cancel = nullptr;

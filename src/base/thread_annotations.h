@@ -123,12 +123,17 @@ class CondVar {
 
   void Wait(Mutex* mu) XICC_REQUIRES(mu) { cv_.wait(*mu); }
 
-  /// Bounded wait: returns false when `timeout_ms` elapsed without a
-  /// notification, true on (possibly spurious) wakeup. This is the primitive
-  /// every cancellable sleep in the library is built on — the
-  /// raw-blocking lint rule bans unbounded waits and raw sleeps elsewhere.
+  /// Bounded wait: returns false when `timeout_ms`, capped at one hour,
+  /// elapsed without a notification, true on (possibly spurious) wakeup.
+  /// Callers loop on their own deadline. This is the primitive every
+  /// cancellable sleep in the library is built on — the raw-blocking lint
+  /// rule bans unbounded waits and raw sleeps elsewhere.
   bool WaitFor(Mutex* mu, int64_t timeout_ms) XICC_REQUIRES(mu) {
-    return cv_.wait_for(*mu, std::chrono::milliseconds(timeout_ms)) ==
+    // A much longer wait overflows the clock inside the standard library
+    // and returns at once, which turns a caller's deadline loop into a spin.
+    constexpr int64_t kMaxWaitMs = 3'600'000;
+    const int64_t slice = timeout_ms < kMaxWaitMs ? timeout_ms : kMaxWaitMs;
+    return cv_.wait_for(*mu, std::chrono::milliseconds(slice)) ==
            std::cv_status::no_timeout;
   }
 

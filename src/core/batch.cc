@@ -72,6 +72,13 @@ class SessionPool {
   std::vector<std::unique_ptr<SpecSession>> free_ XICC_GUARDED_BY(mu_);
 };
 
+/// An item's deadline: the earlier of the batch's own (`check.stop`) and
+/// `ms` from now (0: no per-item bound).
+Deadline ItemDeadline(const BatchOptions& options, int64_t ms) {
+  const Deadline& batch = options.check.stop.deadline;
+  return ms > 0 ? Deadline::Earliest(batch, Deadline::After(ms)) : batch;
+}
+
 /// Runs one chunk's queries through one pooled session. Items that end
 /// without a verdict (deadline, cancel, per-item input errors) are
 /// quarantined into their slot — with partial statistics — and the chunk
@@ -88,27 +95,33 @@ void RunChunk(const std::vector<ConstraintSet>& queries, const Chunk& chunk,
   for (size_t i = chunk.begin; i < chunk.end; ++i) {
     BatchItemResult& slot = (*results)[i];
     if (options.cancel != nullptr && options.cancel->Cancelled()) break;
-    // Arm this item's stop: the shared batch cancel plus a fresh per-item
-    // deadline. The deadline starts when the item starts, not when the
-    // batch does — a slow predecessor must not starve its successors.
+    // Arm this item's stop: the shared batch cancel plus the earlier of the
+    // batch's deadline and a fresh per-item one. The item deadline starts
+    // when the item starts, not when the batch does — a slow predecessor
+    // must not starve its successors.
     StopSignal stop;
     stop.cancel = options.cancel;
-    if (options.item_timeout_ms > 0) {
-      stop.deadline = Deadline::After(options.item_timeout_ms);
-    }
+    stop.deadline = ItemDeadline(options, options.item_timeout_ms);
     session->SetStop(stop);
     Result<ConsistencyResult> checked = session->Check(queries[i]);
     if (!checked.ok() &&
         checked.status().code() == StatusCode::kDeadlineExceeded &&
         options.deadline_retry_factor > 0 &&
+        !options.check.stop.deadline.Expired() &&
         !(options.cancel != nullptr && options.cancel->Cancelled())) {
       // One retry at the escalated budget: rescues the merely-unlucky item
       // (cold memo, slow warm-up) without letting a genuinely exploding one
-      // hold the chunk past factor+1 budgets.
+      // hold the chunk past factor+1 budgets. A batch past its own deadline
+      // retries nothing.
       ++tally->retries;
-      stop.deadline = Deadline::After(
-          options.item_timeout_ms *
-          static_cast<int64_t>(options.deadline_retry_factor));
+      int64_t retry_ms = 0;
+      if (__builtin_mul_overflow(
+              options.item_timeout_ms,
+              static_cast<int64_t>(options.deadline_retry_factor),
+              &retry_ms)) {
+        retry_ms = INT64_MAX;
+      }
+      stop.deadline = ItemDeadline(options, retry_ms);
       session->SetStop(stop);
       checked = session->Check(queries[i]);
       if (checked.ok()) ++tally->rescues;

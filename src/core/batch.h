@@ -19,7 +19,9 @@ struct BatchOptions {
   /// count are clamped to it — oversubscribing a CPU-bound batch only adds
   /// scheduler overhead.
   size_t num_threads = 1;
-  /// Options applied by every worker session.
+  /// Options applied by every worker session. `check.stop.deadline` bounds
+  /// the whole batch: every item, and its retry, runs under the earlier of
+  /// it and the item's own deadline. Cancellation comes from `cancel`.
   ConsistencyOptions check;
   /// Per-worker memo contribution: the workers share ONE hash-sharded
   /// SharedSigmaMemo of `num_threads × memo_capacity` entries, so an

@@ -7,10 +7,10 @@
 #include <vector>
 
 #include "constraints/constraint.h"
-#include "core/conditional_solver.h"
 #include "dtd/dtd.h"
 #include "dtd/simplify.h"
 #include "ilp/linear_system.h"
+#include "ilp/solver.h"
 
 namespace xicc {
 

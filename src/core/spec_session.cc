@@ -472,7 +472,8 @@ Status SpecSession::Commit(const ConstraintSet& sigma) {
   // rows are priced out by each query's dual re-solve, which measures as
   // ~free next to the alternative of extending the basis at commit time
   // (an extension pays real dual pivots per commit and saves none later —
-  // the leaf re-solve repairs feasibility over the same rows either way).
+  // the query's own re-solve repairs feasibility over the same rows either
+  // way).
   return Status::Ok();
 }
 

@@ -276,7 +276,8 @@ class SpecSession {
   /// living and dying above trail checkpoints.
   LinearSystem system_;
   /// The compiled skeleton basis wrapped for the solver; valid = true, so
-  /// the case-split solver reuses it read-only and never overwrites it.
+  /// the search reuses it read-only and never overwrites it. Its tableau
+  /// pool keeps the search's node buffers across queries.
   CaseSplitWarmContext warm_;
   ConstraintSet committed_;
   std::vector<size_t> commit_layers_;  // Size of committed_ before each layer.

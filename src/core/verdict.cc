@@ -270,8 +270,12 @@ Result<SolvedPsi> FreshPath::Solve(CardinalityEncoding* encoding,
   stats->system_variables = encoding->system.NumVariables();
   stats->system_constraints =
       encoding->system.NumConstraints() + encoding->conditionals.size();
-  XICC_ASSIGN_OR_RETURN(IlpSolution solution,
-                        SolveEncodingSystem(*encoding, encoding->system, solve));
+  // The path owns the encoding, so Ψ is solved in place; the trail restores
+  // the system afterwards.
+  XICC_ASSIGN_OR_RETURN(
+      IlpSolution solution,
+      SolveEncodingSystemInPlace(*encoding, &encoding->system,
+                                 encoding->conditionals, solve));
   return SolvedPsi{std::move(solution), encoding, regions};
 }
 
@@ -283,7 +287,8 @@ Result<SolvedPsi> FreshPath::SolveWithTwo(const std::string& type,
       LinearExpr::Var(cardinality_->ext_var.at(type)), RelOp::kGe, BigInt(2));
   XICC_ASSIGN_OR_RETURN(
       IlpSolution solution,
-      SolveEncodingSystem(*cardinality_, cardinality_->system, solve));
+      SolveEncodingSystemInPlace(*cardinality_, &cardinality_->system,
+                                 cardinality_->conditionals, solve));
   return SolvedPsi{std::move(solution), &*cardinality_, /*regions=*/nullptr};
 }
 

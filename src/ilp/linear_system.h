@@ -97,9 +97,9 @@ class LinearSystem {
 
   /// Trail checkpointing: since rows and variables are only ever appended,
   /// a checkpoint is the pair of current sizes and popping truncates back to
-  /// it. This lets branch-and-bound, the Gomory cut loop, the case-split DFS
-  /// and the presolve loop explore by push/solve/pop on ONE system — O(1)
-  /// amortized per node — instead of deep-copying O(rows) at every node.
+  /// it. This lets the search tree, the Gomory cut loop and the presolve
+  /// loop explore by push/solve/pop on ONE system — O(1) amortized per
+  /// node — instead of deep-copying O(rows) at every node.
   void PushCheckpoint();
   /// Undoes every AddVariable/AddConstraint/AddRaw since the matching
   /// PushCheckpoint. Must pair with a prior push.

@@ -28,15 +28,6 @@ void SolveCounters::Add(const SolveCounters& other) {
   ilp_wall_ms += other.ilp_wall_ms;
 }
 
-SolveCounters SolveCounters::SearchOnly() const {
-  SolveCounters out = *this;
-  out.num_small_ops = out.num_big_ops = 0;
-  out.num_promotions = out.num_demotions = 0;
-  out.arena_bytes = 0;
-  out.ilp_wall_ms = 0.0;
-  return out;
-}
-
 ThreadTraffic::ThreadTraffic()
     : num_(ThisThreadNumCounters()),
       arena_bytes_(ThisThreadArena().total_allocated()) {}
@@ -145,166 +136,260 @@ std::optional<LinearConstraint> DeriveGomoryCut(const LinearSystem& system,
   return cut;
 }
 
-/// Depth-first cut-and-branch over ONE trail-managed system: branch bounds
-/// and node-local Gomory cuts are pushed/popped on `work_` (O(1) amortized
-/// per node instead of an O(rows) copy), and every non-root LP solve warm
-/// starts from the parent node's final basis via dual simplex.
-class BranchAndBound {
+/// The one search tree of a solve (Theorem 4.1): a depth-first search on
+/// the caller's trail. While a conditional is unresolved, a node branches on
+/// the first one; once all are resolved the node is an integer root, and it
+/// and its descendants branch on integrality (Gomory cuts, then ⌊v⌋/⌈v⌉).
+/// Every row a node adds (a resolution, a branch bound, a cut, the box) is
+/// pushed on `*work_` and popped when the node exits, and every node's LP
+/// re-solves warm from its parent's final basis.
+class Search {
  public:
-  BranchAndBound(const LinearSystem& system, const IlpOptions& options,
-                 const LpTableau* warm_hint)
-      : work_(system), options_(options), hint_(warm_hint) {
+  /// The search appends onto `*work`'s trail; the caller owns the enclosing
+  /// checkpoint that rolls the rows it leaves behind back. Node tableaux are
+  /// leased from `pool`.
+  Search(LinearSystem* work, const IlpOptions& options, LpTableauPool* pool)
+      : work_(work), options_(options), pool_(pool) {
     // Point at the member copy, not the caller's struct: options_ outlives
     // every poll, and an unarmed signal stays entirely off the hot path.
     if (options_.stop.Armed()) stop_ = &options_.stop;
   }
 
-  Result<IlpSolution> Run() {
-    const auto start = std::chrono::steady_clock::now();
-    // This solve's own thread traffic. A caller that nests the solve on its
-    // thread (the case split's leaves) keeps only SearchOnly() of the result.
-    const ThreadTraffic traffic;
-    if (options_.apply_papadimitriou_bound) {
-      // Upper-bound every variable by the minimal-solution bound, making
-      // the search space finite — but only when the bound is cheap to carry
-      // (see IlpOptions::max_bound_bits). The row count alone often rules
-      // the bound out, which spares the walk over every coefficient.
-      const size_t m = work_.NumConstraints();
-      const size_t n = work_.NumVariables();
-      const size_t m_bits = 64 - __builtin_clzll(m | 1);
-      if (m > 0 && (2 * m + 1) * m_bits + 8 <= options_.max_bound_bits) {
-        BigInt a = work_.MaxAbsValue();
-        const size_t estimated_bits =
-            (2 * m + 1) * (m_bits + a.BitLength()) + 8;
-        if (estimated_bits <= options_.max_bound_bits) {
-          BigInt bound = PapadimitriouBound(m, n, a);
-          for (VarId v = 0; v < static_cast<VarId>(n); ++v) {
-            work_.AddConstraint(LinearExpr::Var(v), RelOp::kLe, bound);
-          }
-        }
+  /// Integer feasibility of `*work_` as it stands: the root is an integer
+  /// root, warm started from `hint` when given.
+  Result<IlpSolution> SolveIntegers(const LpTableau* hint) {
+    Explore(hint, /*resolved=*/0, /*depth=*/0);
+    return Finish();
+  }
+
+  /// Integer feasibility of `*work_` under `conditionals`; `warm` holds the
+  /// base basis across calls and the pool the search leases from.
+  Result<IlpSolution> SolveConditionals(
+      const std::vector<Conditional>& conditionals,
+      CaseSplitWarmContext* warm) {
+    // The base basis: factorized cold exactly once — taken from the caller's
+    // context when it is valid (the connectivity-cut loop re-enters here with
+    // the same base every round, a session with its skeleton basis), solved
+    // otherwise. It warm-seeds the optimistic leaf, the presolve probes and
+    // the split alike. The leaf reads the context's basis in place; the
+    // working copy presolve mutates is only taken if the leaf fails to
+    // settle the query. Without warm starts nothing reads the context, so a
+    // cold solve leaves it alone: a session's context must keep covering
+    // its skeleton, not this query's rows.
+    LpTableauPool::Lease base_lease(pool_);
+    LpTableau* base_tab = base_lease.get();
+    const LpTableau* base = &warm->base_tableau;
+    if (options_.warm_start && warm->valid) {
+      XICC_DCHECK_AUDIT(AuditTableau(*work_, warm->base_tableau));
+    } else {
+      if (!SolveLp(/*parent=*/nullptr, base_tab).feasible) return Finish();
+      base = base_tab;
+      if (options_.warm_start) {
+        warm->base_tableau = *base_tab;
+        warm->valid = true;
       }
     }
-    bool found = Explore(/*parent=*/hint_, /*depth=*/0);
-    solution_.feasible = found;
-    traffic.AddTo(&solution_);
-    solution_.ilp_wall_ms =
-        std::chrono::duration<double, std::milli>(  // xicc-lint: allow(exact-arithmetic)
-            std::chrono::steady_clock::now() - start)
-            .count();
-    // No-verdict exits still hand the work done back through `partial` —
-    // a stopped check reports how far it got, never what it concluded.
-    if (!found && stopped_) {
-      if (options_.partial != nullptr) *options_.partial = solution_;
-      return stop_ != nullptr ? stop_->ToStatus()
-                              : Status::Cancelled("ILP search was stopped");
+
+    // Optimistic leaf: resolve every conditional to its conclusion ≥ 1 and
+    // try that one integer root first (no conditional is active yet, so the
+    // root is integral). Consistent specifications normally populate all
+    // their element types, so this settles them without the split.
+    {
+      TrailScope leaf(work_);
+      for (const Conditional& cond : conditionals) {
+        work_->AddConstraint(cond.conclusion, RelOp::kGe, BigInt(1));
+      }
+      Explore(base, /*resolved=*/0, /*depth=*/0);
     }
-    if (!found && budget_hit_) {
-      if (options_.partial != nullptr) *options_.partial = solution_;
-      return Status::ResourceExhausted(
-          "ILP search exceeded " + std::to_string(options_.max_nodes) +
-          " branch-and-bound nodes");
+    if (Done()) return Finish();
+
+    // Presolve: a conditional whose premise cannot vanish (base + premise=0
+    // is LP-infeasible) has a forced conclusion; install it as a hard row
+    // and drop the conditional from the split. Typical win: ext(τ) of
+    // unavoidable element types, which the DTD pins ≥ 1. Each probe is a
+    // push/solve/pop round on the one working system, re-solved warm from
+    // the working basis.
+    if (base != base_tab) *base_tab = *base;
+    LpTableauPool::Lease scratch_lease(pool_);
+    LpTableau* scratch = scratch_lease.get();
+    for (const Conditional& cond : conditionals) {
+      if (PollStop()) return Finish();
+      bool premise_can_vanish = false;
+      {
+        TrailScope probe(work_);
+        work_->AddConstraint(cond.premise, RelOp::kEq, BigInt(0));
+        premise_can_vanish =
+            SolveLp(base_tab, scratch, /*keep_basis=*/false).feasible;
+      }
+      if (Done()) return Finish();
+      if (premise_can_vanish) {
+        active_.push_back(cond);
+        continue;
+      }
+      work_->AddConstraint(cond.conclusion, RelOp::kGe, BigInt(1));
+      if (!options_.warm_start) continue;
+      // Extend the working basis over the freshly forced row so later probes
+      // and the split stay warm. The re-solve runs on a copy, adopted only
+      // when it ends feasible; on any other outcome the basis keeps covering
+      // its old prefix (still a valid warm seed).
+      *scratch = *base_tab;
+      WarmResult extended =
+          ReSolveLpFeasibilityDualInPlace(*work_, scratch, stop_);
+      counters_.AddLp(extended.lp);
+      if (extended.status == WarmStatus::kAborted) {
+        Halt(StopStatus());
+        return Finish();
+      }
+      if (extended.status != WarmStatus::kOk) continue;
+      ++counters_.warm_starts;
+      // Forced conclusions hold in every solution satisfying the
+      // conditionals, so their joint infeasibility settles the verdict.
+      if (!extended.lp.feasible) return Finish();
+      std::swap(base_tab, scratch);
     }
-    return std::move(solution_);
+
+    // The split over the surviving conditionals, rooted at the presolved
+    // basis.
+    Explore(base_tab, /*resolved=*/0, /*depth=*/0);
+    XICC_DCHECK_AUDIT(AuditTrail(*work_));
+    return Finish();
   }
 
  private:
-  /// One LP solve of the current work_ state into `tab`. When `try_warm`,
-  /// `tab` must hold a feasible ancestor basis of a row-prefix of work_ —
-  /// the appended rows go through the dual-simplex re-solve; any warm
-  /// failure falls back to the cold primal path (identical verdicts).
-  LpResult SolveNodeLp(LpTableau* tab, bool try_warm) {
-    if (try_warm && options_.warm_start) {
-      // In-place re-solve: `tab` is this node's private (or scratch) copy,
-      // and every failure path below overwrites it with a cold solve.
-      WarmResult warm = ReSolveLpFeasibilityDualInPlace(work_, tab, stop_);
-      solution_.AddLp(warm.lp);
+  /// The search unwinds once an integer solution is found or it is halted.
+  bool Done() const { return found_ || !halt_.ok(); }
+
+  /// Ends the search without a verdict: the stop fired or the budget ran out.
+  void Halt(Status status) { halt_ = std::move(status); }
+
+  /// Why a stopped solve has no verdict. An LP can abort without a stop
+  /// signal (LpPricingConfig::pivot_cap); with no signal to ask, the status
+  /// is kCancelled.
+  Status StopStatus() const {
+    return stop_ != nullptr ? stop_->ToStatus()
+                            : Status::Cancelled("ILP search was stopped");
+  }
+
+  /// Polls the stop signal; halts the search and returns true when it fired.
+  bool PollStop() {
+    if (stop_ == nullptr || !stop_->ShouldStop()) return false;
+    Halt(StopStatus());
+    return true;
+  }
+
+  /// The LP of `*work_`'s current rows, into `*tab`. With warm starts on and
+  /// a `parent` — a feasible basis of a row-prefix of `*work_`, which may be
+  /// `tab` itself — the parent's basis is copied into `*tab` and re-solved in
+  /// place by dual simplex; otherwise, or when that basis is unusable, a
+  /// cold primal solve runs (identical verdicts). A cold solve exports its
+  /// basis into `*tab` only when `keep_basis`. A stop mid-solve halts the
+  /// search and returns an infeasible result that is no verdict.
+  LpResult SolveLp(const LpTableau* parent, LpTableau* tab,
+                   bool keep_basis = true) {
+    if (parent != nullptr && options_.warm_start) {
+      if (parent != tab) *tab = *parent;
+      WarmResult warm = ReSolveLpFeasibilityDualInPlace(*work_, tab, stop_);
+      counters_.AddLp(warm.lp);
       if (warm.status == WarmStatus::kAborted) {
-        // The stop fired mid-pivot. No cold fallback — the point of
-        // stopping is to stop, not to finish the node another way.
-        stopped_ = true;
-        LpResult aborted;
-        aborted.aborted = true;
-        return aborted;
+        // No cold fallback — the point of stopping is to stop, not to finish
+        // the solve another way.
+        Halt(StopStatus());
+        return LpResult{};
       }
       if (warm.status == WarmStatus::kOk) {
-        ++solution_.warm_starts;
+        ++counters_.warm_starts;
         // The folded-back warm tableau must satisfy the same invariants as
         // a cold export — this is where a broken dual pivot would surface.
-        if (warm.lp.feasible) {
-          XICC_DCHECK_AUDIT(AuditTableau(work_, *tab));
+        if (warm.lp.feasible && keep_basis) {
+          XICC_DCHECK_AUDIT(AuditTableau(*work_, *tab));
         }
         return std::move(warm.lp);
       }
     }
-    ++solution_.cold_restarts;
-    LpResult lp = SolveLpFeasibility(work_, tab, stop_);
-    solution_.AddLp(lp);
+    ++counters_.cold_restarts;
+    LpResult lp =
+        SolveLpFeasibility(*work_, keep_basis ? tab : nullptr, stop_);
+    counters_.AddLp(lp);
     if (lp.aborted) {
-      stopped_ = true;
-      return lp;
+      Halt(StopStatus());
+      return LpResult{};
     }
-    if (lp.feasible && tab != nullptr) {
-      XICC_DCHECK_AUDIT(AuditTableau(work_, *tab));
+    if (lp.feasible && keep_basis) {
+      XICC_DCHECK_AUDIT(AuditTableau(*work_, *tab));
     }
     return lp;
   }
 
-  /// Returns true when an integer solution was found (stored in solution_).
-  /// `parent` is the parent node's final tableau (null at the root); work_
-  /// already contains this node's branch row.
-  bool Explore(const LpTableau* parent, size_t depth) {
+  /// At an integer root: upper-bounds every variable by the minimal-solution
+  /// bound, making the search space finite — but only when the bound is cheap
+  /// to carry (see IlpOptions::max_bound_bits). The row count alone often
+  /// rules the bound out, which spares the walk over every coefficient.
+  void ApplyPapadimitriouBox() {
+    if (!options_.apply_papadimitriou_bound) return;
+    const size_t m = work_->NumConstraints();
+    const size_t n = work_->NumVariables();
+    const size_t m_bits = 64 - __builtin_clzll(m | 1);
+    if (m == 0 || (2 * m + 1) * m_bits + 8 > options_.max_bound_bits) return;
+    BigInt a = work_->MaxAbsValue();
+    const size_t estimated_bits = (2 * m + 1) * (m_bits + a.BitLength()) + 8;
+    if (estimated_bits > options_.max_bound_bits) return;
+    BigInt bound = PapadimitriouBound(m, n, a);
+    for (VarId v = 0; v < static_cast<VarId>(n); ++v) {
+      work_->AddConstraint(LinearExpr::Var(v), RelOp::kLe, bound);
+    }
+  }
+
+  /// One node. `*work_` already holds the row that led here; `parent` is the
+  /// parent's final tableau (null: solve cold). The first `resolved` active
+  /// conditionals are resolved on the trail; `depth` counts the integrality
+  /// branches between the node and its integer root.
+  void Explore(const LpTableau* parent, size_t resolved, size_t depth) {
     // Fault site: under XICC_FAULTS a configured probe cancels the
     // registered token right here, exercising the very poll below.
     XICC_FAULT_PROBE(kBnbNode);
-    if (stopped_ || (stop_ != nullptr && stop_->ShouldStop())) {
-      stopped_ = true;
-      return false;
+    if (PollStop()) return;
+    if (options_.max_nodes != 0 && counters_.ilp_nodes >= options_.max_nodes) {
+      Halt(Status::ResourceExhausted("ILP search exceeded " +
+                                     std::to_string(options_.max_nodes) +
+                                     " search nodes"));
+      return;
     }
-    if (options_.max_nodes != 0 &&
-        solution_.ilp_nodes >= options_.max_nodes) {
-      budget_hit_ = true;
-      return false;
-    }
-    ++solution_.ilp_nodes;
-    if (depth > solution_.search_depth) solution_.search_depth = depth;
-    XICC_DCHECK_AUDIT(AuditTrail(work_));
+    ++counters_.ilp_nodes;
+    if (depth > counters_.search_depth) counters_.search_depth = depth;
+    XICC_DCHECK_AUDIT(AuditTrail(*work_));
 
-    // Gomory cuts derived here stay pushed for the whole subtree (they are
-    // valid under the current branches) and are undone when the node exits.
-    work_.PushCheckpoint();
-    bool found = ExploreWithCuts(parent, depth);
-    work_.PopCheckpoint();
-    return found;
-  }
+    // The box and the Gomory cuts derived here hold for the whole subtree
+    // and are undone when the node exits.
+    TrailScope node(work_);
+    const bool integral = resolved == active_.size();
+    if (integral && depth == 0) ApplyPapadimitriouBox();
+    // Node tableaux come from the pool: releasing back to it keeps the row
+    // buffers, so the per-node copy of the parent — O(rows + nnz) on sparse
+    // rows — settles into zero allocator traffic. (A parent is shared down
+    // the DFS and outlives any one node's arena scope, so tableaux stay
+    // heap-backed.)
+    LpTableauPool::Lease lease(pool_);
+    LpTableau* tab = lease.get();
+    LpResult lp = SolveLp(parent, tab);
 
-  bool ExploreWithCuts(const LpTableau* parent, size_t depth) {
-    // Node tableaus come from a free list: releasing back to it keeps the
-    // row buffers, so the per-node `*tab = *parent` copy — O(rows + nnz) on
-    // sparse rows — settles into zero allocator traffic once the tree depth
-    // has been visited once. (LpTableau itself must stay heap-vector-backed
-    // — parents are shared down the DFS and outlive any one node's arena
-    // scope.)
-    LpTableauPool::Lease local(&tableau_pool_);
-    LpTableau* tab = local.get();
-    bool try_warm = parent != nullptr;
-    if (try_warm) {
-      // The sibling still needs `parent`, so every node works on a copy. The
-      // root may copy into the caller's scratch tableau instead of a pooled
-      // one — re-passing the same scratch across solves keeps its capacity
-      // warm from call to call, not just node to node.
-      if (parent == hint_ && options_.root_scratch != nullptr) {
-        tab = options_.root_scratch;
-      }
-      *tab = *parent;
+    if (!integral) {
+      // An infeasible relaxation prunes every resolution below.
+      if (!lp.feasible) return;
+      const Conditional& cond = active_[resolved];
+      // Conclusion ≥ 1 (the conditional is discharged outright), then
+      // premise = 0 (over nonnegative variables this pins every term of the
+      // premise to zero).
+      Branch(*tab, cond.conclusion, RelOp::kGe, Num(1), resolved + 1, 0);
+      if (Done()) return;
+      Branch(*tab, cond.premise, RelOp::kEq, Num(0), resolved + 1, 0);
+      return;
     }
-    LpResult lp = SolveNodeLp(tab, try_warm);
 
     // Cut loop: solve, finish/prune, else strengthen with a Gomory cut and
     // warm re-solve from this node's own basis (one appended row).
     VarId fractional = -1;
     for (size_t round = 0; round <= options_.max_cut_rounds; ++round) {
-      if (!lp.feasible) return false;
-
+      if (!lp.feasible) return;
       fractional = -1;
       for (size_t i = 0; i < lp.values.size(); ++i) {
         if (!lp.values[i].is_integer()) {
@@ -313,54 +398,78 @@ class BranchAndBound {
         }
       }
       if (fractional < 0) {
-        solution_.values.clear();
-        solution_.values.reserve(lp.values.size());
-        for (const Num& v : lp.values) {
-          solution_.values.push_back(v.num());
-        }
-        return true;
+        found_ = true;
+        values_.clear();
+        values_.reserve(lp.values.size());
+        for (const Num& v : lp.values) values_.push_back(v.num());
+        return;
       }
       if (round == options_.max_cut_rounds) break;
       // Cut rounds can chain many LP solves at one node; poll between them
       // so a node stuck strengthening cuts still honors the deadline.
-      if (stopped_ || (stop_ != nullptr && stop_->ShouldStop())) {
-        stopped_ = true;
-        return false;
-      }
-      std::optional<LinearConstraint> cut = DeriveGomoryCut(work_, *tab);
+      if (PollStop()) return;
+      std::optional<LinearConstraint> cut = DeriveGomoryCut(*work_, *tab);
       if (!cut.has_value()) break;
-      work_.AddRaw(std::move(*cut));
-      ++solution_.cuts_added;
-      lp = SolveNodeLp(tab, /*try_warm=*/true);
+      work_->AddRaw(std::move(*cut));
+      ++counters_.cuts_added;
+      lp = SolveLp(tab, tab);
     }
 
     const Num value = lp.values[fractional];
-    work_.PushCheckpoint();
-    work_.AddConstraint(LinearExpr::Var(fractional), RelOp::kLe,
-                        value.Floor());
-    bool found = Explore(tab, depth + 1);
-    work_.PopCheckpoint();
-    if (found) return true;
-    work_.PushCheckpoint();
-    work_.AddConstraint(LinearExpr::Var(fractional), RelOp::kGe,
-                        value.Ceil());
-    found = Explore(tab, depth + 1);
-    work_.PopCheckpoint();
-    return found;
+    const LinearExpr x = LinearExpr::Var(fractional);
+    Branch(*tab, x, RelOp::kLe, value.Floor(), resolved, depth + 1);
+    if (Done()) return;
+    Branch(*tab, x, RelOp::kGe, value.Ceil(), resolved, depth + 1);
   }
 
-  LinearSystem work_;
+  /// The child of the node whose final tableau is `parent` that adds
+  /// `expr op rhs`.
+  void Branch(const LpTableau& parent, const LinearExpr& expr, RelOp op,
+              Num rhs, size_t resolved, size_t depth) {
+    TrailScope child(work_);
+    work_->AddConstraint(expr, op, std::move(rhs));
+    Explore(&parent, resolved, depth);
+  }
+
+  /// Every exit reports through here: the counters, thread traffic and wall
+  /// time since the search began. A search without a verdict — the stop
+  /// fired or the node budget ran out — returns why, and the caller's
+  /// partial sink (when given) receives the counters: the work already done
+  /// is part of the contract.
+  Result<IlpSolution> Finish() {
+    IlpSolution out;
+    static_cast<SolveCounters&>(out) = counters_;
+    traffic_.AddTo(&out);
+    out.ilp_wall_ms =
+        std::chrono::duration<double, std::milli>(  // xicc-lint: allow(exact-arithmetic)
+            std::chrono::steady_clock::now() - start_)
+            .count();
+    if (!halt_.ok()) {
+      if (options_.partial != nullptr) *options_.partial = std::move(out);
+      return halt_;
+    }
+    out.feasible = found_;
+    out.values = std::move(values_);
+    return out;
+  }
+
+  LinearSystem* work_;
   IlpOptions options_;
-  const LpTableau* hint_;
+  LpTableauPool* pool_;
   /// Non-null iff options_.stop is armed; points into options_.
   const StopSignal* stop_ = nullptr;
-  IlpSolution solution_;
-  LpTableauPool tableau_pool_;
-  bool budget_hit_ = false;
-  /// The stop signal fired (observed at a node, a cut round, or inside a
-  /// pivot loop). Distinct from budget_hit_: a budget trip is a resource
-  /// verdict, a stop is the caller changing its mind.
-  bool stopped_ = false;
+  /// The conditionals the split resolves (presolve's survivors).
+  std::vector<Conditional> active_;
+  /// Why the search has no verdict; ok while it may still reach one.
+  Status halt_;
+  bool found_ = false;
+  std::vector<BigInt> values_;  // The integer solution, once found_.
+
+  // Declared last, so they start measuring once the search is built.
+  SolveCounters counters_;
+  const std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+  const ThreadTraffic traffic_;
 };
 
 }  // namespace
@@ -368,8 +477,31 @@ class BranchAndBound {
 Result<IlpSolution> SolveIlp(const LinearSystem& system,
                              const IlpOptions& options,
                              const LpTableau* warm_hint) {
-  BranchAndBound solver(system, options, warm_hint);
-  return solver.Run();
+  LinearSystem work = system;
+  LpTableauPool pool;
+  Search search(&work, options, &pool);
+  return search.SolveIntegers(warm_hint);
+}
+
+Result<IlpSolution> SolveWithConditionals(
+    const LinearSystem& base, const std::vector<Conditional>& conditionals,
+    const IlpOptions& options, CaseSplitWarmContext* warm) {
+  LinearSystem work = base;
+  return SolveWithConditionalsInPlace(&work, conditionals, options, warm);
+}
+
+Result<IlpSolution> SolveWithConditionalsInPlace(
+    LinearSystem* base, const std::vector<Conditional>& conditionals,
+    const IlpOptions& options, CaseSplitWarmContext* warm) {
+  CaseSplitWarmContext local;
+  if (warm == nullptr) warm = &local;
+  // One enclosing checkpoint rolls back everything the search appends —
+  // including presolve's forced-conclusion rows, which land outside the
+  // search's own per-node checkpoints by design (they hold for the whole
+  // solve, but not beyond it).
+  TrailScope scope(base);
+  Search search(base, options, &warm->pool);
+  return search.SolveConditionals(conditionals, warm);
 }
 
 }  // namespace xicc

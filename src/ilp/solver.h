@@ -10,24 +10,25 @@
 
 namespace xicc {
 
-struct LpTableau;
 struct IlpSolution;
 
 struct IlpOptions {
-  /// Hard cap on branch & bound nodes; exceeding it yields
+  /// Hard cap on search nodes, case-split and branch-and-bound nodes alike:
+  /// one budget for the whole search tree of a solve. Exceeding it yields
   /// kResourceExhausted. 0 means unlimited.
   size_t max_nodes = 200000;
   /// Gomory fractional-cut rounds attempted per node before branching.
   /// Cuts settle parity-style integer infeasibilities (e.g. 2x = 2y + 1)
   /// that pure branching would chase toward the variable bound.
   size_t max_cut_rounds = 20;
-  /// Clamp every variable by the Papadimitriou minimal-solution bound before
-  /// searching, which makes the search space finite — but only when the
-  /// bound fits in `max_bound_bits` (the bound is n·(m·a)^(2m+1); carrying
-  /// wide constants through every simplex pivot dwarfs the search itself,
-  /// so the default keeps the box at machine-word scale). Without the box,
-  /// Gomory cuts settle the common divergent cases and max_nodes is the
-  /// honest termination backstop.
+  /// Clamp every variable by the Papadimitriou minimal-solution bound at each
+  /// integer root (the whole system for SolveIlp, each fully resolved case
+  /// for SolveWithConditionals), which makes the search space finite — but
+  /// only when the bound fits in `max_bound_bits` (the bound is
+  /// n·(m·a)^(2m+1); carrying wide constants through every simplex pivot
+  /// dwarfs the search itself, so the default keeps the box at machine-word
+  /// scale). Without the box, Gomory cuts settle the common divergent cases
+  /// and max_nodes is the honest termination backstop.
   bool apply_papadimitriou_bound = true;
   size_t max_bound_bits = 64;
   /// Serve child-node and cut-round LP solves by dual-simplex re-solve from
@@ -35,19 +36,11 @@ struct IlpOptions {
   /// path remains the fallback whenever a warm basis is unusable, so
   /// verdicts are identical either way). Off is kept for the ablation bench.
   bool warm_start = true;
-  /// Caller-owned scratch tableau the ROOT branch-and-bound node copies the
-  /// warm hint into (instead of a tableau from the solve's own free list,
-  /// which starts empty on every call). Re-passing the same scratch across
-  /// many SolveIlp calls lets the O(rows + nnz) copy reuse its row buffers,
-  /// so it allocates nothing after the first call. Must outlive the solve,
-  /// must not alias `warm_hint`, and must never be shared across concurrent
-  /// solves.
-  LpTableau* root_scratch = nullptr;
   /// Cooperative stop: a deadline and/or cancel token polled at bounded
-  /// cost — once per branch-and-bound node, once per Gomory cut round, and
-  /// every 64 pivots inside the LP substrate. When it fires the solve
-  /// returns kDeadlineExceeded / kCancelled, never a verdict: a stopped
-  /// check is not "infeasible".
+  /// cost — once per search node, once per Gomory cut round and presolve
+  /// probe, and every 64 pivots inside the LP substrate. When it fires the
+  /// solve returns kDeadlineExceeded / kCancelled, never a verdict: a
+  /// stopped check is not "infeasible".
   StopSignal stop;
   /// When non-null and the solve ends without a verdict (the stop signal
   /// fired or the node budget tripped), receives the counters accumulated
@@ -61,11 +54,10 @@ struct IlpOptions {
 /// ConsistencyStats both derive from it, so the CLI's `--stats`, the daemon
 /// and the benches read the very fields the search incremented. Counters
 /// are deltas: each solve reports the work it did, and callers that run
-/// several solves (connectivity rounds, case-split leaves, batch totals)
-/// sum them with Add.
+/// several solves (connectivity rounds, batch totals) sum them with Add.
 struct SolveCounters {
-  /// Branch-and-bound nodes, plus the case-split DFS nodes when conditionals
-  /// were split.
+  /// Search nodes: the case-split nodes and the branch-and-bound nodes of
+  /// the one search tree.
   size_t ilp_nodes = 0;
   /// Simplex pivots over every LP solve of the search.
   size_t lp_pivots = 0;
@@ -76,8 +68,9 @@ struct SolveCounters {
   /// start, or warm-basis fallbacks).
   size_t warm_starts = 0;
   size_t cold_restarts = 0;
-  /// Deepest branch-and-bound node reached (root = 0): the best-so-far depth,
-  /// the most useful single number in a partial report of a stopped search.
+  /// Deepest branch-and-bound node reached below an integer root (the root
+  /// itself = 0; case-split nodes add no depth): the best-so-far depth, the
+  /// most useful single number in a partial report of a stopped search.
   size_t search_depth = 0;
   /// Sparse LP kernel (DESIGN.md §12), summed over every LP solve.
   LpKernelStats lp_kernel;
@@ -92,7 +85,7 @@ struct SolveCounters {
   /// Bytes of per-thread arena scratch consumed (cumulative traffic, not
   /// footprint — see Arena::total_allocated).
   uint64_t arena_bytes = 0;
-  /// Wall time spent inside the search (case split + branch-and-bound).
+  /// Wall time spent inside the search.
   double ilp_wall_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
 
   /// Sums every field of `other` into this block; search_depth keeps the
@@ -103,16 +96,11 @@ struct SolveCounters {
     lp_pivots += lp.pivots;
     lp_kernel.Add(lp.kernel);
   }
-  /// This block without thread traffic and wall time: what a solve nested on
-  /// the caller's own thread (a case split's leaf SolveIlp) adds to the
-  /// caller, whose ThreadTraffic and clock already cover that stretch.
-  SolveCounters SearchOnly() const;
 };
 
 /// Measures the calling thread's two-tier arithmetic and arena traffic from
-/// construction on. Every scope that owns a slice of a thread — a
-/// branch-and-bound search, a case split — holds one, so each thread's
-/// traffic is counted exactly once.
+/// construction on. Every scope that owns a slice of a thread — a search —
+/// holds one, so each thread's traffic is counted exactly once.
 class ThreadTraffic {
  public:
   ThreadTraffic();
@@ -138,6 +126,32 @@ struct IlpSolution : SolveCounters {
 BigInt PapadimitriouBound(size_t num_constraints, size_t num_variables,
                           const BigInt& max_abs_value);
 
+/// A conditional cardinality constraint: premise > 0 → conclusion > 0,
+/// with both sides nonnegative linear expressions. Instances:
+///  - the attribute rows of Ψ(D,Σ): ext(τ) > 0 → ext(τ.l) > 0 (Lemma 4.6);
+///  - the lazy support-connectivity cuts: Σ_{τ∈U} ext(τ) > 0 →
+///    Σ_{edges into U} x > 0 (realizability of a solution as a *tree*).
+struct Conditional {
+  LinearExpr premise;
+  LinearExpr conclusion;
+};
+
+/// Reusable warm-start state across repeated SolveWithConditionals calls on
+/// the SAME base system with a growing conditional set — the shape of the
+/// lazy connectivity-cut loop in SolveEncodingSystem and of a session's
+/// queries. The base LP is solved cold exactly once; every later solve's
+/// optimistic leaf, presolve probes and split root re-solve warm from this
+/// basis. Its rows are sparse, so each copy taken from it costs
+/// O(rows + nnz).
+struct CaseSplitWarmContext {
+  LpTableau base_tableau;
+  bool valid = false;
+  /// The search's node tableaux and presolve's working bases. A tableau
+  /// returns here, row buffers and all, when its node exits, so copies into
+  /// it stop allocating once a context has served a few solves.
+  LpTableauPool pool;
+};
+
 /// Decides whether `system` has a solution over nonnegative integers and
 /// produces one if so.
 ///
@@ -153,12 +167,54 @@ BigInt PapadimitriouBound(size_t num_constraints, size_t num_variables,
 /// x = v branches into x ≤ ⌊v⌋ and x ≥ ⌈v⌉ (DFS, floor side first —
 /// cardinality systems tend to have small solutions).
 /// `warm_hint`, when given, must be the final tableau of a feasible LP solve
-/// of a row-prefix of `system` (e.g. the case-split DFS's pruning solve of
-/// the very system it hands to the leaf); the root node then warm starts
-/// from it instead of running phase-1 cold. A stale or foreign hint is
-/// rejected by the re-solver's usability checks and only costs the fallback.
+/// of a row-prefix of `system`; the root node then warm starts from it
+/// instead of running phase-1 cold. A stale or foreign hint is rejected by
+/// the re-solver's usability checks and only costs the fallback.
 Result<IlpSolution> SolveIlp(const LinearSystem& system,
                              const IlpOptions& options = {},
                              const LpTableau* warm_hint = nullptr);
+
+/// Decides feasibility of `base` (nonnegative integers) subject to the
+/// conditionals.
+///
+/// This is the exact case split of the Theorem 4.1 proof: each conditional
+/// resolves to (conclusion ≥ 1) or (premise = 0), yielding the 9_X family.
+/// The split and the integer search are ONE depth-first search tree. While
+/// a conditional is unresolved, a node branches on the first one,
+/// conclusion ≥ 1 first — consistent specifications usually populate their
+/// element types. Once all are resolved the node is an integer root and
+/// branches as SolveIlp does. Every node's LP, case-split and
+/// branch-and-bound alike, prunes the subtree when infeasible and otherwise
+/// seeds its children's warm re-solves. Before the split, an optimistic
+/// leaf resolves every conditional to its conclusion (one integer root that
+/// settles most consistent specifications), and presolve installs the
+/// conclusions whose premise cannot vanish as hard rows.
+///
+/// Incrementality: the search runs on ONE trail-managed system (push a
+/// resolution, recurse, pop), and every LP solve after the base one warm
+/// starts from its parent's basis via dual simplex. The search is
+/// sequential, so its statistics are deterministic, and `max_nodes` bounds
+/// the whole tree.
+///
+/// Compared with the big-M linearization (ApplyBigMLinearization) this
+/// avoids astronomically large coefficients; the ablation bench compares
+/// both.
+Result<IlpSolution> SolveWithConditionals(
+    const LinearSystem& base, const std::vector<Conditional>& conditionals,
+    const IlpOptions& options = {}, CaseSplitWarmContext* warm = nullptr);
+
+/// Same decision, but operates directly on `*base` through its trail instead
+/// of copying it: every row the solver appends (case resolutions, presolve's
+/// forced conclusions, branch bounds, cuts) sits above one checkpoint pushed
+/// on entry and popped before returning, so `*base` is byte-identical
+/// afterwards. This is what makes Σ-delta re-checks cheap — a session keeps
+/// ONE system holding the compiled skeleton, pushes the per-query rows, and
+/// solves here without ever re-copying the skeleton. `warm` follows the same
+/// contract as SolveWithConditionals: pass a context whose tableau was
+/// solved against the rows present in `*base` at entry (e.g. the skeleton
+/// basis) with `valid = true`, and it is reused as-is across calls.
+Result<IlpSolution> SolveWithConditionalsInPlace(
+    LinearSystem* base, const std::vector<Conditional>& conditionals,
+    const IlpOptions& options = {}, CaseSplitWarmContext* warm = nullptr);
 
 }  // namespace xicc

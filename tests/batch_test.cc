@@ -251,6 +251,32 @@ TEST(BatchTest, DeadlineQuarantinesOnlyTheExplodingItem) {
   EXPECT_EQ(degraded.cancelled, 0u);
 }
 
+// The batch's own deadline (`check.stop`) bounds every item and its retry:
+// each item runs under the earlier of it and its item budget, and a batch
+// past its deadline retries nothing.
+TEST(BatchTest, BatchDeadlineBoundsEveryItem) {
+  workloads::LipEncoding spec = ExplodingSpec();
+  auto compiled = CompileDtd(spec.dtd);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  std::vector<ConstraintSet> queries{spec.sigma, spec.sigma};
+
+  BatchOptions options;
+  options.check.build_witness = false;
+  options.item_timeout_ms = 60'000;
+  options.check.stop.deadline = Deadline::After(50);
+  BatchDegradedStats degraded;
+  std::vector<BatchItemResult> results =
+      CheckBatch(*compiled, queries, options, &degraded);
+
+  ASSERT_EQ(results.size(), 2u);
+  for (const BatchItemResult& item : results) {
+    EXPECT_EQ(item.status.code(), StatusCode::kDeadlineExceeded)
+        << item.status;
+  }
+  EXPECT_EQ(degraded.deadline_exceeded, 2u);
+  EXPECT_EQ(degraded.retries, 0u);
+}
+
 TEST(BatchTest, RetryFactorZeroDisablesTheEscalatedRetry) {
   workloads::LipEncoding spec = ExplodingSpec();
   auto compiled = CompileDtd(spec.dtd);

@@ -301,6 +301,27 @@ TEST_F(CliFlagTest, CancelAfterRejectsGarbage) {
   ExpectCheckRejects("--cancel-after", "99999999999999999999");
 }
 
+// A budget past the clock's range is no budget, not an instant expiry:
+// check answers, a cancel timer never fires, and batch items (whose retry
+// budget multiplies the item timeout) answer too.
+TEST_F(CliFlagTest, BudgetsPastTheClockRangeNeverExpire) {
+  EXPECT_EQ(Run({"check", dtd_path_, sigma_path_, "--timeout-ms",
+                 "9223372036854"}),
+            0)
+      << err_.str();
+  EXPECT_EQ(Run({"check", dtd_path_, sigma_path_, "--cancel-after",
+                 "9223372036854775807"}),
+            0)
+      << err_.str();
+  EXPECT_EQ(Run({"batch", dtd_path_, queries_path_, "--timeout-ms",
+                 "9223372036854775807"}),
+            1)
+      << out_.str() << err_.str();
+  EXPECT_NE(out_.str().find(": consistent"), std::string::npos) << out_.str();
+  EXPECT_NE(out_.str().find(": inconsistent"), std::string::npos)
+      << out_.str();
+}
+
 TEST_F(CliFlagTest, MinNodesRejectsGarbageButAcceptsZero) {
   ExpectCheckRejects("--min-nodes", "-1");
   ExpectCheckRejects("--min-nodes", "many");

@@ -7,17 +7,18 @@
 #include <functional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/arena.h"
 #include "base/num.h"
 #include "core/batch.h"
 #include "core/cardinality_encoding.h"
-#include "core/conditional_solver.h"
 #include "core/consistency.h"
 #include "core/encoding_solver.h"
 #include "core/spec_session.h"
 #include "ilp/simplex.h"
+#include "ilp/solver.h"
 #include "workloads/generators.h"
 
 namespace xicc {
@@ -118,6 +119,37 @@ TEST(ConditionalSolverTest, WarmContextReuseKeepsVerdicts) {
   EXPECT_TRUE(warm.valid);
 }
 
+// Without warm starts nothing reads the warm context, so a cold solve must
+// leave a caller's context alone: a session's context covers its skeleton
+// rows, and a basis of one query's extra rows would no longer match the
+// session system once the query's rows are popped.
+TEST(ConditionalSolverTest, ColdSolvesLeaveTheWarmContextAlone) {
+  Dtd dtd = workloads::CatalogDtd(3);
+  ConstraintSet sigma = workloads::CatalogFkChainSigma(3).Normalize();
+  auto enc = BuildCardinalityEncoding(dtd, sigma);
+  ASSERT_TRUE(enc.ok());
+
+  CaseSplitWarmContext warm;
+  LinearSystem system = enc->system;
+  auto seeded =
+      SolveWithConditionalsInPlace(&system, enc->conditionals, {}, &warm);
+  ASSERT_TRUE(seeded.ok()) << seeded.status();
+  ASSERT_TRUE(warm.valid);
+  const size_t covered = warm.base_tableau.num_constraints;
+  ASSERT_EQ(covered, system.NumConstraints());
+
+  // A query's row rides the trail above the base, solved cold.
+  TrailScope query(&system);
+  system.AddConstraint(LinearExpr::Var(0), RelOp::kGe, BigInt(1));
+  IlpOptions cold;
+  cold.warm_start = false;
+  auto solved =
+      SolveWithConditionalsInPlace(&system, enc->conditionals, cold, &warm);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  EXPECT_TRUE(warm.valid);
+  EXPECT_EQ(warm.base_tableau.num_constraints, covered);
+}
+
 // The search respects the node budget: exhaustion is reported as
 // kResourceExhausted, never as a verdict.
 TEST(ConditionalSolverTest, BudgetExhaustionReportedUnderThreads) {
@@ -130,6 +162,34 @@ TEST(ConditionalSolverTest, BudgetExhaustionReportedUnderThreads) {
   auto result = CheckConsistency(enc.dtd, enc.sigma, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+// One budget bounds the whole search tree: the case-split nodes and the
+// branch-and-bound nodes below them count against the same `max_nodes`, so
+// a capped search never reports more nodes than its budget.
+TEST(ConditionalSolverTest, NodeBudgetBoundsTheWholeSearch) {
+  size_t exhausted = 0;
+  for (uint64_t k = 0; k < 24; ++k) {
+    const size_t rows = 6 + k % 5;
+    const workloads::LipEncoding enc = workloads::EncodeLipAsConsistency(
+        workloads::RandomLip(/*seed=*/9000 + k, rows, rows + 2 + k % 3,
+                             /*ones_per_row=*/3));
+    ConsistencyOptions options;
+    options.build_witness = false;
+    options.ilp.max_nodes = 5;
+    ConsistencyStats partial;
+    options.partial_stats = &partial;
+    auto result = CheckConsistency(enc.dtd, enc.sigma, options);
+    const std::string tag = "gadget " + std::to_string(k);
+    if (result.ok()) {
+      EXPECT_LE(result->stats.ilp_nodes, 5u) << tag;
+      continue;
+    }
+    ASSERT_EQ(result.status().code(), StatusCode::kResourceExhausted) << tag;
+    EXPECT_EQ(partial.ilp_nodes, 5u) << tag;
+    ++exhausted;
+  }
+  EXPECT_GT(exhausted, 0u);
 }
 
 // An LP can stop with no StopSignal armed: LpPricingConfig::pivot_cap
@@ -259,6 +319,123 @@ TEST(ConditionalSolverAccountingTest, PivotsReconcileOnEveryPath) {
       ASSERT_TRUE(item.status.ok()) << item.status;
       ExpectPivotsReconcile(item.result.stats, "batch" + tag);
     }
+  }
+}
+
+/// The k-th small system of a fixed draw: three variables, one equality,
+/// one ≤ and one ≥ row, and two conditionals between single variables.
+/// Unlike the gadgets, whose LP vertices are integral, these need Gomory
+/// cuts and integrality branches.
+struct SmallSystem {
+  LinearSystem system;
+  std::vector<Conditional> conditionals;
+};
+
+SmallSystem DrawSmallSystem(size_t k) {
+  std::mt19937_64 rng(31);
+  SmallSystem out;
+  for (size_t t = 0; t <= k; ++t) {
+    out = SmallSystem();
+    for (int i = 0; i < 3; ++i) out.system.AddVariable("x" + std::to_string(i));
+    for (int c = 0; c < 3; ++c) {
+      LinearExpr expr;
+      for (VarId v = 0; v < 3; ++v) {
+        expr.Add(v, BigInt(static_cast<int64_t>(rng() % 7) - 3));
+      }
+      const RelOp op =
+          c == 0 ? RelOp::kEq : (c == 1 ? RelOp::kLe : RelOp::kGe);
+      out.system.AddConstraint(expr, op,
+                               BigInt(static_cast<int64_t>(rng() % 8)));
+    }
+    for (int c = 0; c < 2; ++c) {
+      const VarId premise = static_cast<VarId>(rng() % 3);
+      const VarId conclusion = static_cast<VarId>(rng() % 3);
+      out.conditionals.push_back(
+          {LinearExpr::Var(premise), LinearExpr::Var(conclusion)});
+    }
+  }
+  return out;
+}
+
+// The search shape, pinned: the verdict and search counters of fixed solves.
+// A change that moves one of these values changes the search tree itself
+// (which node branches how, which LP runs warm), not just its speed.
+TEST(ConditionalSolverAccountingTest, SearchShapeIsPinned) {
+  struct Shape {
+    std::string name;
+    bool consistent;
+    size_t ilp_nodes, lp_pivots, cuts_added, warm_starts, cold_restarts,
+        search_depth;
+  };
+  auto expect_shape = [](const Shape& want, bool consistent,
+                         const SolveCounters& got) {
+    EXPECT_EQ(consistent, want.consistent) << want.name;
+    EXPECT_EQ(got.ilp_nodes, want.ilp_nodes) << want.name;
+    EXPECT_EQ(got.lp_pivots, want.lp_pivots) << want.name;
+    EXPECT_EQ(got.cuts_added, want.cuts_added) << want.name;
+    EXPECT_EQ(got.warm_starts, want.warm_starts) << want.name;
+    EXPECT_EQ(got.cold_restarts, want.cold_restarts) << want.name;
+    EXPECT_EQ(got.search_depth, want.search_depth) << want.name;
+  };
+
+  // Fresh checks: gadgets drawn as the gadget benchmark draws them, then two
+  // catalog foreign-key chains.
+  const std::vector<Shape> checks = {
+      {"gadget 0", false, 1, 146, 0, 11, 1, 0},
+      {"gadget 1", false, 1, 187, 0, 13, 1, 0},
+      {"gadget 2", false, 1, 185, 0, 13, 1, 0},
+      {"gadget 3", true, 14, 149, 0, 38, 1, 0},
+      {"gadget 4", true, 11, 115, 0, 29, 1, 0},
+      {"gadget 5", true, 14, 154, 0, 38, 1, 0},
+      {"gadget 6", true, 11, 110, 0, 29, 1, 0},
+      {"gadget 7", true, 14, 158, 0, 38, 1, 0},
+      {"gadget 8", true, 14, 147, 0, 38, 1, 0},
+      {"gadget 9", false, 1, 147, 0, 11, 1, 0},
+      {"gadget 10", true, 17, 201, 0, 47, 1, 0},
+      {"gadget 11", true, 14, 145, 0, 38, 1, 0},
+      {"gadget 12", true, 11, 111, 0, 29, 1, 0},
+      {"gadget 13", true, 14, 153, 0, 38, 1, 0},
+      {"gadget 14", true, 14, 156, 0, 38, 1, 0},
+      {"gadget 15", true, 14, 151, 0, 38, 1, 0},
+      {"catalog-3", true, 1, 60, 0, 1, 1, 0},
+      {"catalog-6", true, 1, 123, 0, 1, 1, 0},
+  };
+  std::mt19937_64 rng(2001);
+  ConsistencyOptions options;
+  options.build_witness = false;
+  for (const Shape& want : checks) {
+    Dtd dtd;
+    ConstraintSet sigma;
+    if (want.name.rfind("gadget", 0) == 0) {
+      const workloads::LipEncoding spec = DrawGadget(rng);
+      dtd = spec.dtd;
+      sigma = spec.sigma;
+    } else {
+      const size_t n = want.name == "catalog-3" ? 3 : 6;
+      dtd = workloads::CatalogDtd(n);
+      sigma = workloads::CatalogFkChainSigma(n);
+    }
+    auto checked = CheckConsistency(dtd, sigma, options);
+    ASSERT_TRUE(checked.ok()) << want.name << ": " << checked.status();
+    expect_shape(want, checked->consistent, checked->stats);
+  }
+
+  // Direct solves that cut and branch on integrality below the split.
+  const std::vector<std::pair<size_t, Shape>> systems = {
+      {2, {"system 2", true, 3, 25, 21, 24, 1, 1}},
+      {6, {"system 6", false, 4, 11, 1, 8, 1, 0}},
+      {52, {"system 52", false, 12, 78, 45, 59, 1, 1}},
+      {66, {"system 66", false, 2, 15, 6, 12, 1, 0}},
+      {115, {"system 115", false, 18, 183, 107, 127, 1, 1}},
+      {220, {"system 220", true, 4, 114, 41, 45, 1, 2}},
+  };
+  for (const auto& [k, want] : systems) {
+    const SmallSystem drawn = DrawSmallSystem(k);
+    IlpOptions ilp;
+    ilp.max_nodes = 200;
+    auto solved = SolveWithConditionals(drawn.system, drawn.conditionals, ilp);
+    ASSERT_TRUE(solved.ok()) << want.name << ": " << solved.status();
+    expect_shape(want, solved->feasible, *solved);
   }
 }
 

@@ -552,6 +552,64 @@ TEST(DaemonTest, BatchMixesVerdictsAndFlagsBadItems) {
             "INVALID_ARGUMENT");
 }
 
+// A batch request's timeout_ms bounds its items, as a check's bounds the
+// check: the one item, whose search alone takes about a second, answers
+// DEADLINE_EXCEEDED inside the response.
+TEST(DaemonTest, BatchTimeoutBoundsEveryItem) {
+  ServerOptions options;
+  options.workers = 1;
+  auto server = MustStart(options);
+  ASSERT_NE(server, nullptr);
+  Client client = MustConnect(*server);
+  const workloads::LipEncoding enc = workloads::EncodeLipAsConsistency(
+      workloads::RandomLip(/*seed=*/3, /*rows=*/32, /*cols=*/64,
+                           /*ones_per_row=*/3));
+  JsonValue sigmas = JsonValue::Array();
+  sigmas.Push(JsonValue::Str(SigmaText(enc.sigma)));
+  JsonValue req = Req("batch", 1);
+  req.Set("dtd", JsonValue::Str(enc.dtd.ToString()))
+      .Set("sigmas", sigmas)
+      .Set("timeout_ms", JsonValue::Int(50));
+
+  auto resp = client.Call(req);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_TRUE(resp->GetBool("ok", false)) << resp->Dump();
+  const JsonValue* results = resp->Find("results");
+  ASSERT_NE(results, nullptr) << resp->Dump();
+  ASSERT_EQ(results->AsArray().size(), 1u);
+  EXPECT_EQ(results->AsArray()[0].GetString("status", ""),
+            "DEADLINE_EXCEEDED")
+      << resp->Dump();
+}
+
+// An item budget past the clock's range is no budget: the item answers
+// instead of expiring at once and being quarantined.
+TEST(DaemonTest, BatchItemTimeoutPastTheClockRangeNeverExpires) {
+  auto server = MustStart({});
+  ASSERT_NE(server, nullptr);
+  Client client = MustConnect(*server);
+  JsonValue sigmas = JsonValue::Array();
+  sigmas.Push(JsonValue::Str("key a(id)\n"));
+  JsonValue req = Req("batch", 1);
+  req.Set("dtd", JsonValue::Str("<!ELEMENT r (a*)> <!ELEMENT a EMPTY> "
+                                "<!ATTLIST a id CDATA #REQUIRED>"))
+      .Set("sigmas", sigmas)
+      .Set("item_timeout_ms", JsonValue::Int(INT64_MAX));
+
+  auto resp = client.Call(req);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_TRUE(resp->GetBool("ok", false)) << resp->Dump();
+  const JsonValue* results = resp->Find("results");
+  ASSERT_NE(results, nullptr) << resp->Dump();
+  ASSERT_EQ(results->AsArray().size(), 1u);
+  EXPECT_EQ(results->AsArray()[0].GetString("status", ""), "ok")
+      << resp->Dump();
+  EXPECT_TRUE(results->AsArray()[0].GetBool("consistent", false));
+  const JsonValue* degraded = resp->Find("degraded");
+  ASSERT_NE(degraded, nullptr);
+  EXPECT_EQ(degraded->GetInt("quarantined", -1), 0);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace xicc

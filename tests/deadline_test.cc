@@ -56,6 +56,66 @@ TEST(DeadlineTest, AfterExpires) {
   EXPECT_TRUE(Deadline::After(-5).Expired());
 }
 
+// A budget past the steady clock's range (≈292 years of nanoseconds) is no
+// budget at all: it must saturate to infinite, not wrap into the past and
+// expire at once.
+TEST(DeadlineTest, PastTheClockRangeSaturatesToInfinite) {
+  for (int64_t ms : {int64_t{9'223'372'036'854}, INT64_MAX / 2, INT64_MAX}) {
+    const Deadline d = Deadline::After(ms);
+    EXPECT_TRUE(d.IsInfinite()) << ms;
+    EXPECT_FALSE(d.Expired()) << ms;
+    EXPECT_EQ(d.RemainingMs(), INT64_MAX) << ms;
+  }
+  // A far but representable deadline stays finite.
+  const Deadline year = Deadline::After(int64_t{365} * 24 * 3'600'000);
+  EXPECT_FALSE(year.IsInfinite());
+  EXPECT_FALSE(year.Expired());
+
+  EXPECT_TRUE(Deadline::Earliest(Deadline::After(0), year).Expired());
+  EXPECT_FALSE(Deadline::Earliest(Deadline(), year).IsInfinite());
+  EXPECT_TRUE(Deadline::Earliest(Deadline(), Deadline()).IsInfinite());
+}
+
+// CondVar::WaitFor caps one wait, so a wait on an infinite deadline blocks
+// until notified instead of returning at once (std's wait_for overflows on
+// INT64_MAX milliseconds and times out immediately, which turns every
+// deadline loop into a spin).
+TEST(CondVarTest, WaitForAnInfiniteBudgetBlocksUntilNotified) {
+  Mutex mu;
+  CondVar cv;
+  bool ready = false;
+  std::thread notifier([&] {
+    SleepFor(50, nullptr);
+    MutexLock lock(&mu);
+    ready = true;
+    cv.NotifyAll();
+  });
+  size_t returns = 0;
+  {
+    MutexLock lock(&mu);
+    while (!ready) {
+      const bool notified = cv.WaitFor(&mu, INT64_MAX);
+      (void)notified;  // xicc-lint: allow(void-discard)
+      ++returns;
+    }
+  }
+  notifier.join();
+  // One return for the notification, a few for spurious wakeups; a spinning
+  // wait returns thousands of times in 50 ms.
+  EXPECT_LE(returns, 10u);
+}
+
+// A --cancel-after past the clock's range never fires.
+TEST(CancelTimerTest, PastTheClockRangeNeverFires) {
+  CancelToken token;
+  {
+    CancelTimer timer(&token, INT64_MAX);
+    SleepFor(20, nullptr);
+    EXPECT_FALSE(token.Cancelled());
+  }
+  EXPECT_FALSE(token.Cancelled());
+}
+
 TEST(CancelTokenTest, StickyAndCallbackLifecycle) {
   CancelToken token;
   EXPECT_FALSE(token.Cancelled());

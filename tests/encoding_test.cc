@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/cardinality_encoding.h"
-#include "core/conditional_solver.h"
 #include "ilp/solver.h"
 #include "workloads/generators.h"
 #include "workloads/paper_examples.h"

@@ -7,7 +7,6 @@
 #include "core/consistency.h"
 #include "core/implication.h"
 #include "core/set_representation.h"
-#include "core/conditional_solver.h"
 #include "core/encoding_solver.h"
 #include "dtd/validator.h"
 #include "workloads/generators.h"
