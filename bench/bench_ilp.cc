@@ -23,6 +23,7 @@
 #include "core/consistency.h"
 #include "ilp/simplex.h"
 #include "ilp/solver.h"
+#include "tests/dense_simplex.h"
 #include "workloads/generators.h"
 
 namespace xicc {
@@ -67,7 +68,7 @@ void RunLpSection(bench::JsonReport& report) {
     if (!encoding.ok()) std::abort();
     const LinearSystem& sys = encoding->system;
     LpResult kept;
-    // Tier/arena tallies for one representative solve (thread-local deltas).
+    // Tier tallies for one representative solve (thread-local deltas).
     SolveCounters traffic;
     double ms = bench::BestTimeMs(5, [&] {
       traffic = SolveCounters();
@@ -126,15 +127,14 @@ void RunLpSection(bench::JsonReport& report) {
         .Set("speedup_vs_pr3_x", base > 0 ? base / ms : 0.0)
         .Set("small_ops", traffic.num_small_ops)
         .Set("big_ops", traffic.num_big_ops)
-        .Set("promotion_rate", promo_rate)
-        .Set("arena_bytes", traffic.arena_bytes);
+        .Set("promotion_rate", promo_rate);
   }
 }
 
 void RunConsistencySection(bench::JsonReport& report) {
   bench::Header("NP-cell consistency checks (case-split + B&B), 1 thread");
-  std::printf("%18s %8s %12s %12s %10s %10s %10s\n", "dtd", "queries",
-              "time(ms)", "pivots", "vs-pr3", "promo", "arena(B)");
+  std::printf("%18s %8s %12s %12s %10s %10s\n", "dtd", "queries",
+              "time(ms)", "pivots", "vs-pr3", "promo");
   struct Case {
     const char* name;
     Dtd dtd;
@@ -183,10 +183,9 @@ void RunConsistencySection(bench::JsonReport& report) {
             ? static_cast<double>(total.num_promotions) / total.num_small_ops
             : 0.0;
     const LpKernelStats& kernel = total.lp_kernel;
-    std::printf("%18s %8zu %12.3f %12zu %9.2fx %10.2e %10zu\n", c.name,
+    std::printf("%18s %8zu %12.3f %12zu %9.2fx %10.2e\n", c.name,
                 queries.size(), ms, total.lp_pivots,
-                base > 0 ? base / ms : 0.0, promo_rate,
-                static_cast<size_t>(total.arena_bytes));
+                base > 0 ? base / ms : 0.0, promo_rate);
     report.AddRow("consistency")
         .Set("dtd", c.name)
         .Set("queries", queries.size())
@@ -198,7 +197,6 @@ void RunConsistencySection(bench::JsonReport& report) {
         .Set("big_ops", total.num_big_ops)
         .Set("promotion_rate", promo_rate)
         .Set("demotions", total.num_demotions)
-        .Set("arena_bytes", total.arena_bytes)
         .Set("dantzig_pivots", kernel.dantzig_pivots)
         .Set("bland_pivots", kernel.bland_pivots)
         .Set("bland_fallbacks", kernel.bland_fallbacks)

@@ -115,8 +115,8 @@ void RunBatchAblation(bench::JsonReport& report) {
   auto compiled = CompileDtd(dtd);
   if (!compiled.ok()) std::abort();
 
-  std::printf("%10s %12s %12s %12s %10s %10s %10s\n", "threads", "queries",
-              "time(ms)", "fresh(ms)", "speedup", "promo", "arena(B)");
+  std::printf("%10s %12s %12s %12s %10s %10s\n", "threads", "queries",
+              "time(ms)", "fresh(ms)", "speedup", "promo");
   for (size_t threads : {1, 2, 4, 8}) {
     BatchOptions options;
     options.num_threads = threads;
@@ -139,9 +139,8 @@ void RunBatchAblation(bench::JsonReport& report) {
         total.num_small_ops > 0
             ? static_cast<double>(total.num_promotions) / total.num_small_ops
             : 0.0;
-    std::printf("%10zu %12zu %12.3f %12.3f %9.2fx %10.2e %10zu\n", threads,
-                queries.size(), batch_ms, fresh_ms, speedup, promo_rate,
-                static_cast<size_t>(total.arena_bytes));
+    std::printf("%10zu %12zu %12.3f %12.3f %9.2fx %10.2e\n", threads,
+                queries.size(), batch_ms, fresh_ms, speedup, promo_rate);
     report.AddRow("batch")
         .Set("threads", threads)
         .Set("queries", queries.size())
@@ -149,7 +148,6 @@ void RunBatchAblation(bench::JsonReport& report) {
         .Set("fresh_ms", fresh_ms)
         .Set("speedup_x", speedup)
         .Set("promotion_rate", promo_rate)
-        .Set("arena_bytes", total.arena_bytes)
         .Set("verdicts_identical", true);
   }
 }

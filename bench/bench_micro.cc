@@ -16,6 +16,7 @@
 #include "dtd/simplify.h"
 #include "dtd/validator.h"
 #include "ilp/simplex.h"
+#include "tests/dense_simplex.h"
 #include "workloads/generators.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"

@@ -62,13 +62,6 @@ const std::vector<LintRuleInfo>& AnalyzeRules() {
        "every src/ilp + src/core loop reaching solver/fan-out work polls "
        "the StopSignal within a bounded statement window",
        false},
-      {"status-drop",
-       "no bare-call statement drops a Status/Result return value",
-       false},
-      {"arena-escape",
-       "no ArenaVector/arena pointer stored into members or out-params, or "
-       "returned past its owning ArenaScope",
-       false},
       {"include-cycle",
        "the quoted-include graph over src/ is acyclic (the layer matrix "
        "ships in the JSON report)",
@@ -96,8 +89,6 @@ AnalysisReport AnalyzeModel(const SourceModel& model) {
 
   AnalyzeLockOrder(model, &report.lock_graph, &report.findings);
   AnalyzeStopPoll(model, &report.findings);
-  AnalyzeStatusFlow(model, &report.findings);
-  AnalyzeArenaEscape(model, &report.findings);
   AnalyzeIncludeGraph(model, &report.include_matrix, &report.findings);
 
   std::sort(report.findings.begin(), report.findings.end(),

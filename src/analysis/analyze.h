@@ -13,14 +13,12 @@
 //                    reaches solver/fan-out work must poll the cancellation
 //                    plumbing (ShouldStop / Cancelled) within a bounded
 //                    statement window.
-//   status-drop      a bare `Foo(...);` statement whose callee returns
-//                    Status/Result drops the error — the dataflow cousin of
-//                    [[nodiscard]], catching macro and chain contexts.
-//   arena-escape     ArenaVector locals / arena-backed pointers stored into
-//                    members or out-params, or returned past the ArenaScope
-//                    that owns their memory.
 //   include-cycle    full include graph over src/: cycles are findings and
 //                    the directory-level edge matrix feeds the JSON report.
+//
+// A dropped Status/Result is the compiler's to catch: both types are
+// class-level [[nodiscard]] and the build makes -Wunused-result an error.
+// The void-discard lint rule covers the `(void)` casts compilers accept.
 //
 // Suppression reuses the lint mechanism: `// xicc-lint: allow(rule)` on the
 // finding's line or the line above. Each engine's soundness envelope — what
@@ -90,10 +88,6 @@ const std::vector<LintRuleInfo>& AnalyzeRules();
 void AnalyzeLockOrder(const SourceModel& model, LockGraph* graph,
                       std::vector<Finding>* findings);
 void AnalyzeStopPoll(const SourceModel& model, std::vector<Finding>* findings);
-void AnalyzeStatusFlow(const SourceModel& model,
-                       std::vector<Finding>* findings);
-void AnalyzeArenaEscape(const SourceModel& model,
-                        std::vector<Finding>* findings);
 void AnalyzeIncludeGraph(
     const SourceModel& model,
     std::map<std::string, std::map<std::string, size_t>>* matrix,

@@ -21,8 +21,8 @@ void AnalyzeIncludeGraph(
   for (const SourceFile& file : model.files) {
     for (const IncludeRef& include : file.includes) {
       if (!include.quoted) continue;
-      // Quoted includes are rooted at src/ ("base/arena.h" →
-      // "src/base/arena.h"); a same-directory include resolves relative to
+      // Quoted includes are rooted at src/ ("base/status.h" →
+      // "src/base/status.h"); a same-directory include resolves relative to
       // the including file.
       std::string target = "src/" + include.path;
       if (known.count(target) == 0) {

@@ -109,28 +109,6 @@ struct ScopeFrame {
   std::vector<size_t> stmt;
 };
 
-/// Index of the token after the group that closes the `(`/`<`/`{`/`[` at
-/// `open` (or `end` if unmatched). Angle brackets nest naively — good enough
-/// for declaration text, never used across comparison operators because
-/// consumers only pass '<' from template-looking contexts.
-size_t SkipGroup(const std::vector<Token>& tokens, size_t open, size_t end) {
-  const std::string& open_text = tokens[open].text;
-  std::string close_text;
-  if (open_text == "(") close_text = ")";
-  else if (open_text == "<") close_text = ">";
-  else if (open_text == "{") close_text = "}";
-  else if (open_text == "[") close_text = "]";
-  else return open + 1;
-  size_t depth = 0;
-  for (size_t i = open; i < end; ++i) {
-    if (tokens[i].text == open_text) ++depth;
-    if (tokens[i].text == close_text) {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return end;
-}
-
 bool IsXiccMacro(const std::string& text) {
   return text.compare(0, 5, "XICC_") == 0;
 }

@@ -65,8 +65,7 @@ struct State {
                                  std::memory_order_relaxed);
     for (int s = 0; s < kSiteCount; ++s) {
       hits[s].store(0, std::memory_order_relaxed);
-      const bool value_site = s == static_cast<int>(Site::kNumPromote) ||
-                              s == static_cast<int>(Site::kArenaAlloc);
+      const bool value_site = s == static_cast<int>(Site::kNumPromote);
       const bool net_site = s >= static_cast<int>(Site::kNetAccept) &&
                             s <= static_cast<int>(Site::kFrameDecode);
       uint64_t p = 0;
@@ -135,7 +134,6 @@ bool Probe(Site site) {
               1, std::memory_order_relaxed);
   switch (site) {
     case Site::kNumPromote:
-    case Site::kArenaAlloc:
     case Site::kNetAccept:
     case Site::kNetRead:
     case Site::kNetWrite:

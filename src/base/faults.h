@@ -9,20 +9,19 @@
 //   kNumPromote   forces the two-tier Num off its small fast path, so every
 //                 op takes the promote/demote BigInt route (value-preserving
 //                 by construction — the slow path recomputes exactly).
-//   kArenaAlloc   forces the per-thread arena onto its chunk-growth path,
-//                 simulating allocation pressure / fragmentation.
 //   kSimplexPivot fires inside the simplex pivot loops: optionally cancels
 //                 a registered CancelToken at the Nth pivot (exercising the
 //                 real cancellation plumbing end to end, workers' wakeups
 //                 included) and/or sleeps to simulate a slow pivot.
 //   kBnbNode      same, at branch-and-bound node granularity.
 //
-// Seed-driven sites (kNumPromote, kArenaAlloc) fire periodically with a
-// period derived from the seed, so ctest stays green under any seed — the
-// faults stress representation paths, never verdicts. The disruptive sites
-// (injected cancel, slow pivot) fire only when explicitly configured, via
-// SetConfig or the XICC_FAULT_CANCEL_AT_PIVOT / XICC_FAULT_CANCEL_AT_NODE /
-// XICC_FAULT_SLOW_PIVOT_EVERY / XICC_FAULT_SLOW_PIVOT_MS variables.
+// The seed-driven site (kNumPromote) fires periodically with a period
+// derived from the seed and the site index, so ctest stays green under any
+// seed — the fault stresses representation paths, never verdicts. The
+// disruptive sites (injected cancel, slow pivot) fire only when explicitly
+// configured, via SetConfig or the XICC_FAULT_CANCEL_AT_PIVOT /
+// XICC_FAULT_CANCEL_AT_NODE / XICC_FAULT_SLOW_PIVOT_EVERY /
+// XICC_FAULT_SLOW_PIVOT_MS variables.
 //
 // In a normal build every probe compiles to the constant `false` — zero
 // cost, no atomics, no branches survive optimization.
@@ -41,9 +40,10 @@ class CancelToken;
 
 namespace faults {
 
+/// Site values index the probe tables and seed each site's period, so they
+/// stay fixed: value 1 is unused.
 enum class Site : int {
   kNumPromote = 0,
-  kArenaAlloc = 1,
   kSimplexPivot = 2,
   kBnbNode = 3,
   /// Network-facing probes on the xiccd daemon's I/O paths. Firing one

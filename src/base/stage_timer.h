@@ -3,7 +3,7 @@
 // Lightweight per-stage wall-clock attribution for the batch pipeline.
 //
 // The batch scaling bench showed flat speedup curves with every layer of
-// parallel machinery (worksteal pool, sharded memo, per-thread arenas) in
+// parallel machinery (worksteal pool, sharded memo, per-thread solver scratch) in
 // place — and no way to tell WHERE the serialized time was going. This is
 // the instrument that makes batch time attributable: a fixed taxonomy of
 // pipeline stages (session setup, memo key rendering, memo lookup/store

@@ -162,32 +162,37 @@ Result<CardinalityEncoding> BuildCardinalityEncoding(
   }
 
   for (const Constraint& c : sigma.constraints()) {
-    VarId y1 = enc.attr_var.at({c.type1, c.attrs1[0]});
-    VarId x1 = enc.ext_var.at(c.type1);
-    switch (c.kind) {
-      case ConstraintKind::kKey:
-        // ext(τ.l) = ext(τ).
-        enc.system.AddEq(LinearExpr::Var(y1), LinearExpr::Var(x1));
-        break;
-      case ConstraintKind::kNegKey: {
-        // ext(τ.l) < ext(τ), i.e. ext(τ.l) ≤ ext(τ) − 1 over the integers.
-        LinearExpr rhs;
-        rhs.Add(x1, BigInt(1));
-        rhs.AddConstant(BigInt(-1));
-        enc.system.AddLe(LinearExpr::Var(y1), rhs);
-        break;
-      }
-      case ConstraintKind::kInclusion: {
-        VarId y2 = enc.attr_var.at({c.type2, c.attrs2[0]});
-        enc.system.AddLe(LinearExpr::Var(y1), LinearExpr::Var(y2));
-        break;
-      }
-      default:
-        break;
-    }
+    AppendConstraintRow(enc, c, &enc.system);
   }
 
   return enc;
+}
+
+void AppendConstraintRow(const CardinalityEncoding& enc, const Constraint& c,
+                         LinearSystem* system) {
+  VarId y1 = enc.attr_var.at({c.type1, c.attrs1[0]});
+  VarId x1 = enc.ext_var.at(c.type1);
+  switch (c.kind) {
+    case ConstraintKind::kKey:
+      // ext(τ.l) = ext(τ).
+      system->AddEq(LinearExpr::Var(y1), LinearExpr::Var(x1));
+      break;
+    case ConstraintKind::kNegKey: {
+      // ext(τ.l) < ext(τ), i.e. ext(τ.l) ≤ ext(τ) − 1 over the integers.
+      LinearExpr rhs;
+      rhs.Add(x1, BigInt(1));
+      rhs.AddConstant(BigInt(-1));
+      system->AddLe(LinearExpr::Var(y1), rhs);
+      break;
+    }
+    case ConstraintKind::kInclusion: {
+      VarId y2 = enc.attr_var.at({c.type2, c.attrs2[0]});
+      system->AddLe(LinearExpr::Var(y1), LinearExpr::Var(y2));
+      break;
+    }
+    default:
+      break;
+  }
 }
 
 LinearSystem ApplyBigMLinearization(

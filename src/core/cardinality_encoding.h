@@ -80,6 +80,13 @@ Result<CardinalityEncoding> BuildCardinalityEncoding(
     const Dtd& dtd, const ConstraintSet& sigma,
     const std::vector<std::pair<std::string, std::string>>& extra_pairs = {});
 
+/// Appends to `system` the C_Σ row (Lemma 4.4) of one normalized constraint
+/// over `enc`'s variables: a unary key ext(τ.l) = ext(τ), a negated key
+/// ext(τ.l) ≤ ext(τ) − 1, an inclusion ext(τ1.l1) ≤ ext(τ2.l2). Other kinds
+/// add no row. Ψ(D,Σ) and a session's Σ-delta rows are built with it.
+void AppendConstraintRow(const CardinalityEncoding& enc, const Constraint& c,
+                         LinearSystem* system);
+
 /// The Theorem 4.1 linearization: returns `system` extended with one row
 /// c·conclusion ≥ premise per conditional, where c is the Papadimitriou
 /// bound for the case-split systems 9_X. Exact but numerically heavy — kept

@@ -78,6 +78,11 @@ struct ConsistencyStats : SolveCounters {
   /// Shared-memo store: payload snapshot + shard lock wait + hold.
   double memo_store_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
 
+  /// Always 0: nothing writes it. The end-to-end benchmark (perfbench/)
+  /// still reads it for its `ilp.arena_kb` layer, so it stays until that
+  /// reader goes.
+  uint64_t arena_bytes = 0;
+
   /// Adds another check's solve counters, Σ-delta checks and memo hits and
   /// misses into this block: the totals of a batch.
   void Add(const ConsistencyStats& other);

@@ -305,7 +305,7 @@ Result<SolvedPsi> SpecSession::SolveDelta(
   // checkpoint (see Commit); only the true delta rides the trail.
   for (const Constraint& c : encoded.constraints()) {
     if (encoded_committed_.count(c.ToString()) > 0) continue;
-    AppendConstraintRow(c);
+    AppendConstraintRow(sk, c, &system_);
   }
   AddMinimumSizeRow(sk, options.min_witness_nodes, &system_);
 
@@ -422,31 +422,6 @@ Result<ImplicationResult> SpecSession::Implies(const Constraint& phi) {
   return DecideImplication(path, committed_, phi, options_);
 }
 
-void SpecSession::AppendConstraintRow(const Constraint& c) {
-  const CardinalityEncoding& sk = compiled_->skeleton;
-  VarId y1 = sk.attr_var.at({c.type1, c.attrs1[0]});
-  VarId x1 = sk.ext_var.at(c.type1);
-  switch (c.kind) {
-    case ConstraintKind::kKey:
-      system_.AddEq(LinearExpr::Var(y1), LinearExpr::Var(x1));
-      break;
-    case ConstraintKind::kNegKey: {
-      LinearExpr rhs;
-      rhs.Add(x1, BigInt(1));
-      rhs.AddConstant(BigInt(-1));
-      system_.AddLe(LinearExpr::Var(y1), rhs);
-      break;
-    }
-    case ConstraintKind::kInclusion: {
-      VarId y2 = sk.attr_var.at({c.type2, c.attrs2[0]});
-      system_.AddLe(LinearExpr::Var(y1), LinearExpr::Var(y2));
-      break;
-    }
-    default:
-      break;
-  }
-}
-
 Status SpecSession::Commit(const ConstraintSet& sigma) {
   XICC_RETURN_IF_ERROR(sigma.CheckAgainst(compiled_->dtd));
   commit_layers_.push_back(committed_.size());
@@ -464,7 +439,7 @@ Status SpecSession::Commit(const ConstraintSet& sigma) {
     if (!HasSkeletonRow(c)) continue;
     std::string rendered = c.ToString();
     if (encoded_committed_.count(rendered) > 0) continue;
-    AppendConstraintRow(c);
+    AppendConstraintRow(compiled_->skeleton, c, &system_);
     encoded_committed_.insert(std::move(rendered));
   }
 

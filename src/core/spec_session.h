@@ -265,11 +265,6 @@ class SpecSession {
   Result<SolvedPsi> SolveWithTwo(const std::string& type,
                                  const EncodingSolveOptions& solve);
 
-  /// Appends the one C_Σ row of a normalized unary key / negated key /
-  /// inclusion to the session system (Lemma 4.4 shapes). The caller decides
-  /// which checkpoint the row lives under.
-  void AppendConstraintRow(const Constraint& c);
-
   std::shared_ptr<const CompiledDtd> compiled_;
   ConsistencyOptions options_;
   /// Session working system: the skeleton rows, with per-query C_Σ rows

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/arena.h"
 #include "base/debug.h"
 #include "base/faults.h"
 #include "ilp/audit.h"
@@ -18,45 +17,36 @@ using internal::Word;
 
 thread_local LpPricingConfig g_lp_pricing_config;
 
-// ---------------------------------------------------------------------------
-// Dense reference kernel (SolveLpFeasibilityDenseBland).
-// ---------------------------------------------------------------------------
-
-/// Dense phase-1 tableau over the two-tier exact Num, backed by the calling
-/// thread's bump arena: a solve allocates one flat cell block, pivots in
-/// place (small-tier cells never touch any allocator), and the enclosing
-/// ArenaScope reclaims everything wholesale on exit.
-///
-/// Layout: rows 0..m-1 are constraints, row m is the phase-1 objective
-/// (reduced costs). Columns 0..total-1 are variables (structural, then
-/// slack, then artificial); column `total` is the rhs.
-class DenseTableau {
- public:
-  DenseTableau(Arena* arena, size_t rows, size_t cols)
-      : cols_(cols), cells_(rows * cols, Num(), ArenaAllocator<Num>(arena)) {}
-
-  Num& At(size_t row, size_t col) { return cells_[row * cols_ + col]; }
-  const Num& At(size_t row, size_t col) const {
-    return cells_[row * cols_ + col];
-  }
-  Num* Row(size_t row) { return cells_.data() + row * cols_; }
-  const Num* Row(size_t row) const { return cells_.data() + row * cols_; }
-
- private:
-  size_t cols_;
-  // DenseTableau is only ever a local inside the solve's own ArenaScope, so
-  // the member cannot outlive the scope. xicc-lint: allow(arena-escape)
-  ArenaVector<Num> cells_;
+/// The per-thread scratch of both LP kernels, kept across calls so it stops
+/// allocating once grown. Neither kernel calls the other, so one struct
+/// serves both: the cold solve's word grids and the warm re-solve's buffers.
+struct LpScratch {
+  /// SparseKernel's fast lane: numerators and denominators, row-major over
+  /// (constraints + 1) × (columns + 1) cells, refilled by every cold solve.
+  std::vector<Word> nums;
+  std::vector<Word> dens;
+  /// RowAxpy's merge target. It is swapped with the row it rebuilds, so row
+  /// buffers circulate between a tableau and this scratch instead of being
+  /// reallocated per elimination.
+  LpRow merged;
+  /// Price-out: the parent row each column is basic in (-1: nonbasic), and
+  /// the parent rows one appended row must be eliminated against.
+  std::vector<int> basic_row;
+  std::vector<int> pending;
+  /// VarId → column, for a parent whose structural columns are not the
+  /// first ones in VarId order (one that took new variables itself).
+  std::vector<int> var_col;
 };
+thread_local LpScratch g_lp_scratch;
 
 // ---------------------------------------------------------------------------
 // Sparse pricing-driven kernel (SolveLpFeasibility).
 // ---------------------------------------------------------------------------
 
-/// Sparse phase-1 working state. Same row/column layout as DenseTableau
-/// (rows 0..m-1 constraints, row m the objective; column `total` = cols-1 is
-/// the rhs), but with two departures that make a pivot cost O(nnz) instead
-/// of O(m·n):
+/// Sparse phase-1 working state. Rows 0..m-1 are constraints and row m is
+/// the phase-1 objective (reduced costs); columns 0..total-1 are variables
+/// (structural, then slack, then artificial) and column `total` = cols-1 is
+/// the rhs. Two features make a pivot cost O(nnz) instead of O(m·n):
 ///
 ///  - Each row carries a sorted packed list of its nonzero columns (the rhs
 ///    cell is tracked outside the supports). Pivot row-updates and entering
@@ -72,11 +62,13 @@ class DenseTableau {
 ///    rest of the solve — to an exact Num lane, and the op re-runs there.
 class SparseKernel {
  public:
-  SparseKernel(Arena* arena, size_t rows, size_t cols)
+  /// The fast lane's grids are `scratch`'s, refilled here, so only one
+  /// kernel at a time may work on a given scratch.
+  SparseKernel(LpScratch* scratch, size_t rows, size_t cols)
       : rows_(rows),
         cols_(cols),
-        nums_(rows * cols, 0, ArenaAllocator<Word>(arena)),
-        dens_(rows * cols, 1, ArenaAllocator<Word>(arena)),
+        nums_(Refill(&scratch->nums, rows * cols, 0)),
+        dens_(Refill(&scratch->dens, rows * cols, 1)),
         exact_(rows),
         support_(rows) {}
 
@@ -148,8 +140,14 @@ class SparseKernel {
   }
 
  private:
-  Word* NumRow(size_t i) { return nums_.data() + i * cols_; }
-  Word* DenRow(size_t i) { return dens_.data() + i * cols_; }
+  /// `cells` copies of `value` in `grid`, which keeps its capacity.
+  static Word* Refill(std::vector<Word>* grid, size_t cells, Word value) {
+    grid->assign(cells, value);
+    return grid->data();
+  }
+
+  Word* NumRow(size_t i) { return nums_ + i * cols_; }
+  Word* DenRow(size_t i) { return dens_ + i * cols_; }
 
   /// Whole-row fast→exact promotion; sticky for the rest of the solve.
   void PromoteRow(size_t i, LpKernelStats* stats) {
@@ -275,13 +273,10 @@ class SparseKernel {
 
   size_t rows_;
   size_t cols_;
-  // SparseKernel is only ever a local inside the solve's own ArenaScope, so
-  // the members cannot outlive the scope. xicc-lint: allow(arena-escape)
-  ArenaVector<Word> nums_;
-  // xicc-lint: allow(arena-escape)
-  ArenaVector<Word> dens_;
-  /// Exact lane; an empty inner vector means the row is still fast. Heap
-  /// storage — promotions are rare and must survive arena-free pivoting.
+  /// Fast lane, rows_ × cols_ cells of the thread's LpScratch grids.
+  Word* nums_;
+  Word* dens_;
+  /// Exact lane; an empty inner vector means the row is still fast.
   std::vector<std::vector<Num>> exact_;
   std::vector<std::vector<int>> support_;
   std::vector<int> merge_scratch_;
@@ -291,29 +286,12 @@ class SparseKernel {
 // Sparse-row pivoting for the dual (warm) re-solve.
 // ---------------------------------------------------------------------------
 
-/// The warm re-solve's per-thread scratch, kept across calls so it stops
-/// allocating once grown.
-struct DualScratch {
-  /// RowAxpy's merge target. It is swapped with the row it rebuilds, so row
-  /// buffers circulate between a tableau and this scratch instead of being
-  /// reallocated per elimination.
-  LpRow merged;
-  /// Price-out: the parent row each column is basic in (-1: nonbasic), and
-  /// the parent rows one appended row must be eliminated against.
-  std::vector<int> basic_row;
-  std::vector<int> pending;
-  /// VarId → column, for a parent whose structural columns are not the
-  /// first ones in VarId order (one that took new variables itself).
-  std::vector<int> var_col;
-};
-thread_local DualScratch g_dual_scratch;
-
 /// target -= factor · source over the two rows' nonzeros (a two-pointer
 /// merge), and target_rhs -= factor · source_rhs. Cells that cancel to zero
 /// drop out; cells only `source` listed that come out nonzero are fill-in.
 void RowAxpy(LpRow* target, Num* target_rhs, const LpRow& source,
              const Num& source_rhs, const Num& factor, size_t* fill_in) {
-  LpRow& out = g_dual_scratch.merged;
+  LpRow& out = g_lp_scratch.merged;
   out.clear();
   const size_t a = target->size();
   const size_t b = source.size();
@@ -405,11 +383,6 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
   const size_t m = system.NumConstraints();
   const size_t n = system.NumVariables();
 
-  // All scratch for this solve — the kernel's word arrays — lives in the
-  // thread's arena and dies when this scope closes. Only the exported
-  // LpTableau and LpResult (regular vectors) survive.
-  ArenaScope scratch(ThisThreadArena());
-
   // Column plan: structural, then one slack per inequality, then artificials
   // for rows whose slack cannot seed the basis.
   std::vector<LpColumnInfo> columns;
@@ -456,7 +429,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
   const size_t rhs_col = total;
 
   LpResult result;
-  SparseKernel kernel(&ThisThreadArena(), m + 1, total + 1);
+  SparseKernel kernel(&g_lp_scratch, m + 1, total + 1);
   std::vector<int> basis(m);
   size_t next_artificial = num_structural_slack;
   for (size_t i = 0; i < m; ++i) {
@@ -671,211 +644,6 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
   return result;
 }
 
-LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
-                                      LpTableau* tableau,
-                                      const StopSignal* stop) {
-  const size_t m = system.NumConstraints();
-  const size_t n = system.NumVariables();
-
-  ArenaScope scratch(ThisThreadArena());
-
-  std::vector<LpColumnInfo> columns;
-  columns.reserve(n + m);
-  for (size_t j = 0; j < n; ++j) {
-    columns.push_back(
-        {LpColumnInfo::Kind::kStructural, static_cast<int>(j), 0});
-  }
-  std::vector<int> slack_col(m, -1);
-  for (size_t i = 0; i < m; ++i) {
-    const RelOp op = system.constraints()[i].op;
-    if (op != RelOp::kEq) {
-      slack_col[i] = static_cast<int>(columns.size());
-      columns.push_back({LpColumnInfo::Kind::kSlack, static_cast<int>(i),
-                         op == RelOp::kLe ? -1 : 1});
-    }
-  }
-  const size_t num_structural_slack = columns.size();
-
-  struct RowPlan {
-    bool negate = false;
-    bool use_slack = false;
-    int artificial_col = -1;
-  };
-  std::vector<RowPlan> plan(m);
-  size_t num_artificial = 0;
-  for (size_t i = 0; i < m; ++i) {
-    const LinearConstraint& c = system.constraints()[i];
-    bool rhs_negative = c.rhs.sign() < 0;
-    plan[i].negate = rhs_negative;
-    if (c.op == RelOp::kLe) {
-      plan[i].use_slack = !rhs_negative;
-    } else if (c.op == RelOp::kGe) {
-      plan[i].use_slack = rhs_negative;
-    }
-    if (!plan[i].use_slack) ++num_artificial;
-  }
-  const size_t total = num_structural_slack + num_artificial;
-  const size_t rhs_col = total;
-
-  DenseTableau tab(&ThisThreadArena(), m + 1, total + 1);
-  std::vector<int> basis(m);
-  size_t next_artificial = num_structural_slack;
-  for (size_t i = 0; i < m; ++i) {
-    const LinearConstraint& c = system.constraints()[i];
-    int sign = plan[i].negate ? -1 : 1;
-    for (const auto& [var, coeff] : c.coeffs) {
-      tab.At(i, static_cast<size_t>(var)) = sign < 0 ? -coeff : coeff;
-    }
-    tab.At(i, rhs_col) = plan[i].negate ? -c.rhs : c.rhs;
-    if (slack_col[i] >= 0) {
-      int slack_sign = (c.op == RelOp::kLe ? 1 : -1) * sign;
-      tab.At(i, static_cast<size_t>(slack_col[i])) = Num(slack_sign);
-    }
-    if (plan[i].use_slack) {
-      basis[i] = slack_col[i];
-    } else {
-      plan[i].artificial_col = static_cast<int>(next_artificial);
-      tab.At(i, next_artificial) = Num(1);
-      basis[i] = static_cast<int>(next_artificial);
-      ++next_artificial;
-    }
-  }
-
-  for (size_t j = 0; j <= rhs_col; ++j) {
-    if (j >= num_structural_slack && j < total) continue;  // Artificial.
-    Num sum;
-    for (size_t i = 0; i < m; ++i) {
-      if (!plan[i].use_slack) sum += tab.At(i, j);
-    }
-    tab.At(m, j) = -sum;
-  }
-
-  LpResult result;
-
-  // Simplex iterations with Bland's rule (smallest entering index; ratio
-  // ties broken by smallest basic index) — guarantees no cycling.
-  for (;;) {
-    XICC_FAULT_PROBE(kSimplexPivot);
-    if (stop != nullptr && (result.pivots & 63) == 0 && stop->ShouldStop()) {
-      result.aborted = true;
-      result.feasible = false;
-      return result;
-    }
-    size_t entering = total;
-    for (size_t j = 0; j < total; ++j) {
-      if (tab.At(m, j).sign() < 0) {
-        entering = j;
-        break;
-      }
-    }
-    if (entering == total) break;  // Optimal.
-
-    size_t pivot_row = m;
-    Num best_ratio;
-    for (size_t i = 0; i < m; ++i) {
-      if (tab.At(i, entering).sign() <= 0) continue;
-      Num ratio = tab.At(i, rhs_col) / tab.At(i, entering);
-      if (pivot_row == m || ratio < best_ratio ||
-          (ratio == best_ratio && basis[i] < basis[pivot_row])) {
-        pivot_row = i;
-        best_ratio = ratio;
-      }
-    }
-    if (pivot_row == m) break;  // Phase-1 cannot be unbounded; defensive.
-
-    ++result.pivots;
-    ++result.kernel.bland_pivots;
-    Num* pivot_cells = tab.Row(pivot_row);
-    const Num pivot = pivot_cells[entering];
-    for (size_t j = 0; j <= rhs_col; ++j) {
-      Num& cell = pivot_cells[j];
-      if (!cell.is_zero()) cell /= pivot;
-    }
-    for (size_t i = 0; i <= m; ++i) {
-      if (i == pivot_row) continue;
-      Num* cells = tab.Row(i);
-      const Num factor = cells[entering];
-      if (factor.is_zero()) continue;
-      for (size_t j = 0; j <= rhs_col; ++j) {
-        // The tableaus of the cardinality encodings are sparse; skipping
-        // zero cells in the pivot row is the single biggest speedup here.
-        const Num& p = pivot_cells[j];
-        if (p.is_zero()) continue;
-        cells[j] -= factor * p;
-      }
-    }
-    basis[pivot_row] = static_cast<int>(entering);
-  }
-
-  if (!tab.At(m, rhs_col).is_zero()) {
-    result.feasible = false;
-    return result;
-  }
-  result.feasible = true;
-
-  if (tableau != nullptr) {
-    for (size_t i = 0; i < m; ++i) {
-      if (static_cast<size_t>(basis[i]) < num_structural_slack) continue;
-      size_t entering = num_structural_slack;
-      for (size_t j = 0; j < num_structural_slack; ++j) {
-        if (!tab.At(i, j).is_zero()) {
-          entering = j;
-          break;
-        }
-      }
-      if (entering == num_structural_slack) continue;  // Redundant row.
-      ++result.pivots;
-      ++result.kernel.bland_pivots;
-      Num* pivot_cells = tab.Row(i);
-      const Num pivot = pivot_cells[entering];
-      for (size_t j = 0; j <= rhs_col; ++j) {
-        Num& cell = pivot_cells[j];
-        if (!cell.is_zero()) cell /= pivot;
-      }
-      for (size_t r = 0; r <= m; ++r) {
-        if (r == i) continue;
-        Num* cells = tab.Row(r);
-        const Num factor = cells[entering];
-        if (factor.is_zero()) continue;
-        for (size_t j = 0; j <= rhs_col; ++j) {
-          const Num& p = pivot_cells[j];
-          if (p.is_zero()) continue;
-          cells[j] -= factor * p;
-        }
-      }
-      basis[i] = static_cast<int>(entering);
-    }
-  }
-  result.values.assign(n, Num());
-  for (size_t i = 0; i < m; ++i) {
-    if (basis[i] >= 0 && static_cast<size_t>(basis[i]) < n) {
-      result.values[basis[i]] = tab.At(i, rhs_col);
-    }
-  }
-
-  if (tableau != nullptr) {
-    tableau->columns = columns;
-    tableau->basis.assign(m, -1);
-    tableau->rows.resize(m);
-    tableau->rhs.assign(m, Num());
-    tableau->num_constraints = m;
-    for (size_t i = 0; i < m; ++i) {
-      if (static_cast<size_t>(basis[i]) < num_structural_slack) {
-        tableau->basis[i] = basis[i];
-      }
-      LpRow& dst = tableau->rows[i];
-      dst.clear();
-      for (size_t j = 0; j < num_structural_slack; ++j) {
-        if (!tab.At(i, j).is_zero()) {
-          dst.Append(static_cast<int>(j), tab.At(i, j));
-        }
-      }
-      tableau->rhs[i] = tab.At(i, rhs_col);
-    }
-  }
-  return result;
-}
-
 WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
                                            LpTableau* tableau,
                                            const StopSignal* stop) {
@@ -931,7 +699,7 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
   // An appended row's cells by VarId: parent variables through the parent's
   // layout, new ones past the slacks. Only a parent that took new variables
   // itself needs a map; the cold export's layout is its own.
-  std::vector<int>& var_col = g_dual_scratch.var_col;
+  std::vector<int>& var_col = g_lp_scratch.var_col;
   if (!identity) {
     var_col.assign(num_structural, -1);
     for (size_t j = 0; j < old_cols; ++j) {
@@ -999,12 +767,12 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
   // Parent row i has zeros in every other parent row's basic column, so
   // the rows to eliminate are fixed by the appended row's cells up front;
   // they run in parent-row order, which keeps the fill-in count stable.
-  std::vector<int>& basic_row = g_dual_scratch.basic_row;
+  std::vector<int>& basic_row = g_lp_scratch.basic_row;
   basic_row.assign(old_cols, -1);
   for (size_t i = 0; i < old_rows; ++i) {
     basic_row[basis[i]] = static_cast<int>(i);
   }
-  std::vector<int>& pending = g_dual_scratch.pending;
+  std::vector<int>& pending = g_lp_scratch.pending;
   size_t fill_in = 0;
   for (size_t row = old_rows; row < rows; ++row) {
     pending.clear();

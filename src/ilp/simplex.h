@@ -209,15 +209,6 @@ LpResult SolveLpFeasibility(const LinearSystem& system,
                             LpTableau* tableau = nullptr,
                             const StopSignal* stop = nullptr);
 
-/// The pre-sparse reference solver: dense row-major tableau, always-Bland
-/// pricing, all-Num arithmetic — byte-for-byte the algorithm the sparse
-/// kernel replaced. Kept as the differential-fuzz oracle and the dense
-/// baseline the benches time the sparse kernel against; production callers
-/// use SolveLpFeasibility.
-LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
-                                      LpTableau* tableau = nullptr,
-                                      const StopSignal* stop = nullptr);
-
 /// Why a warm re-solve could not be served from the given basis.
 enum class WarmStatus {
   kOk,

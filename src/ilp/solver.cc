@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "base/arena.h"
 #include "base/debug.h"
 #include "base/faults.h"
 #include "ilp/audit.h"
@@ -24,13 +23,10 @@ void SolveCounters::Add(const SolveCounters& other) {
   num_big_ops += other.num_big_ops;
   num_promotions += other.num_promotions;
   num_demotions += other.num_demotions;
-  arena_bytes += other.arena_bytes;
   ilp_wall_ms += other.ilp_wall_ms;
 }
 
-ThreadTraffic::ThreadTraffic()
-    : num_(ThisThreadNumCounters()),
-      arena_bytes_(ThisThreadArena().total_allocated()) {}
+ThreadTraffic::ThreadTraffic() : num_(ThisThreadNumCounters()) {}
 
 void ThreadTraffic::AddTo(SolveCounters* out) const {
   const NumCounters& now = ThisThreadNumCounters();
@@ -38,7 +34,6 @@ void ThreadTraffic::AddTo(SolveCounters* out) const {
   out->num_big_ops += now.big_ops - num_.big_ops;
   out->num_promotions += now.promotions - num_.promotions;
   out->num_demotions += now.demotions - num_.demotions;
-  out->arena_bytes += ThisThreadArena().total_allocated() - arena_bytes_;
 }
 
 BigInt PapadimitriouBound(size_t num_constraints, size_t num_variables,
@@ -247,6 +242,9 @@ class Search {
       if (!extended.lp.feasible) return Finish();
       std::swap(base_tab, scratch);
     }
+    // With no conditional left to split on, the split's root is base plus
+    // every conclusion ≥ 1: the optimistic leaf's system, already refuted.
+    if (active_.empty()) return Finish();
 
     // The split over the surviving conditionals, rooted at the presolved
     // basis.
@@ -365,9 +363,7 @@ class Search {
     if (integral && depth == 0) ApplyPapadimitriouBox();
     // Node tableaux come from the pool: releasing back to it keeps the row
     // buffers, so the per-node copy of the parent — O(rows + nnz) on sparse
-    // rows — settles into zero allocator traffic. (A parent is shared down
-    // the DFS and outlives any one node's arena scope, so tableaux stay
-    // heap-backed.)
+    // rows — settles into zero allocator traffic.
     LpTableauPool::Lease lease(pool_);
     LpTableau* tab = lease.get();
     LpResult lp = SolveLp(parent, tab);

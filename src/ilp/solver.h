@@ -82,9 +82,6 @@ struct SolveCounters {
   uint64_t num_big_ops = 0;
   uint64_t num_promotions = 0;
   uint64_t num_demotions = 0;
-  /// Bytes of per-thread arena scratch consumed (cumulative traffic, not
-  /// footprint — see Arena::total_allocated).
-  uint64_t arena_bytes = 0;
   /// Wall time spent inside the search.
   double ilp_wall_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
 
@@ -98,7 +95,7 @@ struct SolveCounters {
   }
 };
 
-/// Measures the calling thread's two-tier arithmetic and arena traffic from
+/// Measures the calling thread's two-tier arithmetic traffic from
 /// construction on. Every scope that owns a slice of a thread — a search —
 /// holds one, so each thread's traffic is counted exactly once.
 class ThreadTraffic {
@@ -109,7 +106,6 @@ class ThreadTraffic {
 
  private:
   NumCounters num_;
-  uint64_t arena_bytes_;
 };
 
 /// A solve's verdict, with the counters of the work that reached it.
@@ -188,7 +184,9 @@ Result<IlpSolution> SolveIlp(const LinearSystem& system,
 /// seeds its children's warm re-solves. Before the split, an optimistic
 /// leaf resolves every conditional to its conclusion (one integer root that
 /// settles most consistent specifications), and presolve installs the
-/// conclusions whose premise cannot vanish as hard rows.
+/// conclusions whose premise cannot vanish as hard rows. When presolve
+/// forces every conclusion (or there are no conditionals), the leaf was the
+/// whole search.
 ///
 /// Incrementality: the search runs on ONE trail-managed system (push a
 /// resolution, recurse, pop), and every LP solve after the base one warm

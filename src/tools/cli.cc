@@ -226,8 +226,7 @@ Result<ConsistencyOptions> OptionsFromFlags(const ParsedArgs& parsed) {
 void PrintSolveCounters(const SolveCounters& c, std::ostream& out) {
   out << "arithmetic: " << c.num_small_ops << " small ops, " << c.num_big_ops
       << " big ops, " << c.num_promotions << " promotions / "
-      << c.num_demotions << " demotions, arena " << c.arena_bytes
-      << " bytes\n";
+      << c.num_demotions << " demotions\n";
   const LpKernelStats& k = c.lp_kernel;
   out << "lp kernel:  " << k.dantzig_pivots << " dantzig / " << k.bland_pivots
       << " bland pivots, " << k.bland_fallbacks << " fallbacks, fill-in "

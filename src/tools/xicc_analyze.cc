@@ -1,8 +1,8 @@
 // xicc_analyze — the repo's semantic analyzer (see src/analysis/analyze.h).
 //
 // One pass over <root>/src feeds the migrated lint rules AND the semantic
-// engines: lock-order (graph + LOCK_ORDER.md), stop-poll coverage,
-// status-drop dataflow, arena-escape, and the include graph. Findings gate
+// engines: lock-order (graph + LOCK_ORDER.md), stop-poll coverage, and the
+// include graph. Findings gate
 // against a checked-in baseline so adoption is incremental: exit 0 when no
 // finding is new vs. the baseline, 1 when new findings exist, 2 on
 // usage/I/O errors.

@@ -1,6 +1,7 @@
 // Drives the xicc command-line tool through its library entry point.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -15,8 +16,10 @@ namespace {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "xicc_cli_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    // The pid keeps parallel test processes apart: a sanitizer heap can
+    // hand every process the same fixture address.
+    dir_ = ::testing::TempDir() + "xicc_cli_" + std::to_string(::getpid()) +
+           "_" + std::to_string(reinterpret_cast<uintptr_t>(this));
     // TempDir exists; fan out per-test files by prefix instead of mkdir.
     dtd_path_ = dir_ + ".dtd";
     sigma_path_ = dir_ + ".sigma";

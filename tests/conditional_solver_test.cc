@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/arena.h"
 #include "base/num.h"
 #include "core/batch.h"
 #include "core/cardinality_encoding.h"
@@ -230,9 +229,8 @@ TEST(ConditionalSolverTest, PivotCapWithoutStopSignalIsNoVerdict) {
 
 // ---- Solve-counter accounting ---------------------------------------------
 // Every layer reports one SolveCounters block. Two properties pin how it is
-// assembled: each thread's arithmetic and arena traffic is counted exactly
-// once, and a report's pivots always reconcile with the LP kernel's
-// per-rule split.
+// assembled: each thread's arithmetic traffic is counted exactly once, and
+// a report's pivots always reconcile with the LP kernel's per-rule split.
 
 /// A Theorem 4.7 gadget drawn as the gadget benchmark draws them: 3–5 rows,
 /// 4–8 columns, two ones per row.
@@ -253,10 +251,8 @@ void ExpectPivotsReconcile(const SolveCounters& c, const std::string& what) {
 template <class Solve>
 void ExpectTrafficOfCallingThread(const std::string& what, Solve solve) {
   const NumCounters before = ThisThreadNumCounters();
-  const uint64_t arena_before = ThisThreadArena().total_allocated();
   Result<IlpSolution> solved = solve();
   const NumCounters after = ThisThreadNumCounters();
-  const uint64_t arena_after = ThisThreadArena().total_allocated();
   ASSERT_TRUE(solved.ok()) << what << ": " << solved.status();
   EXPECT_EQ(solved->num_small_ops, after.small_ops - before.small_ops) << what;
   EXPECT_EQ(solved->num_big_ops, after.big_ops - before.big_ops) << what;
@@ -264,7 +260,6 @@ void ExpectTrafficOfCallingThread(const std::string& what, Solve solve) {
       << what;
   EXPECT_EQ(solved->num_demotions, after.demotions - before.demotions)
       << what;
-  EXPECT_EQ(solved->arena_bytes, arena_after - arena_before) << what;
   ExpectPivotsReconcile(*solved, what);
 }
 
@@ -425,7 +420,7 @@ TEST(ConditionalSolverAccountingTest, SearchShapeIsPinned) {
       {2, {"system 2", true, 3, 25, 21, 24, 1, 1}},
       {6, {"system 6", false, 4, 11, 1, 8, 1, 0}},
       {52, {"system 52", false, 12, 78, 45, 59, 1, 1}},
-      {66, {"system 66", false, 2, 15, 6, 12, 1, 0}},
+      {66, {"system 66", false, 1, 10, 3, 8, 1, 0}},
       {115, {"system 115", false, 18, 183, 107, 127, 1, 1}},
       {220, {"system 220", true, 4, 114, 41, 45, 1, 2}},
   };
@@ -437,6 +432,42 @@ TEST(ConditionalSolverAccountingTest, SearchShapeIsPinned) {
     ASSERT_TRUE(solved.ok()) << want.name << ": " << solved.status();
     expect_shape(want, solved->feasible, *solved);
   }
+}
+
+// With no conditionals the split has nothing to resolve, so its optimistic
+// leaf is the whole search and it reports what SolveIlp reports on the same
+// system; an infeasible leaf used to be searched again as the split's root.
+// Warm starts are not compared: the split solves its base LP cold and the
+// leaf warm. Systems with an infeasible LP relaxation are left out: the
+// split refutes those at its base LP, before its first node, while SolveIlp
+// counts its root node.
+TEST(ConditionalSolverTest, WithoutConditionalsTheSplitMatchesSolveIlp) {
+  std::vector<std::pair<std::string, LinearSystem>> systems;
+  LinearSystem parity;  // 2x = 1: LP-feasible, integer-infeasible.
+  LinearExpr twice;
+  twice.Add(parity.AddVariable("x"), BigInt(2));
+  parity.AddConstraint(twice, RelOp::kEq, BigInt(1));
+  systems.emplace_back("2x = 1", parity);
+  for (size_t k = 0; k < 120; ++k) {
+    systems.emplace_back("system " + std::to_string(k),
+                         DrawSmallSystem(k).system);
+  }
+  size_t compared = 0;
+  for (const auto& [name, system] : systems) {
+    if (!SolveLpFeasibility(system).feasible) continue;
+    IlpOptions options;
+    options.max_nodes = 200;
+    auto ilp = SolveIlp(system, options);
+    auto split = SolveWithConditionals(system, {}, options);
+    ASSERT_TRUE(ilp.ok()) << name << ": " << ilp.status();
+    ASSERT_TRUE(split.ok()) << name << ": " << split.status();
+    EXPECT_EQ(split->feasible, ilp->feasible) << name;
+    EXPECT_EQ(split->ilp_nodes, ilp->ilp_nodes) << name;
+    EXPECT_EQ(split->cuts_added, ilp->cuts_added) << name;
+    EXPECT_EQ(split->lp_pivots, ilp->lp_pivots) << name;
+    ++compared;
+  }
+  EXPECT_GT(compared, 50u);
 }
 
 // A check stopped by its deadline reports how far it got; that partial

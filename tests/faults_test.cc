@@ -103,9 +103,9 @@ TEST_F(FaultsFixture, InjectedCancelAtNodeStopsTheCheck) {
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
-TEST_F(FaultsFixture, ArenaAndPromoteFaultsPreserveVerdicts) {
-  // Hammer the representation paths: every-few-ops Num promotion plus
-  // arena chunk-growth. Verdict must match the quiet run exactly.
+TEST_F(FaultsFixture, PromoteFaultsPreserveVerdicts) {
+  // Hammer the representation path: every-few-ops Num promotion. Verdict
+  // must match the quiet run exactly.
   auto quiet = CheckConsistency(SearchySpec().dtd, SearchySpec().sigma);
   ASSERT_TRUE(quiet.ok());
 

@@ -118,7 +118,7 @@ TEST(LintRulesTest, RawBlockingBannedOutsideSanctionedFiles) {
                 "src/core/foo.cc",
                 "std::this_thread::sleep_for(std::chrono::seconds(1));\n")),
             std::vector<std::string>{"raw-blocking"});
-  EXPECT_EQ(RuleNames(LintFile("src/base/arena.h",
+  EXPECT_EQ(RuleNames(LintFile("src/base/strings.h",
                                "#pragma once\nusleep(100);\n")),
             std::vector<std::string>{"raw-blocking"});
   // An unbounded CondVar wait outside the sanctioned files is the

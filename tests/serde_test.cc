@@ -206,18 +206,6 @@ TEST(SerdeTest, FileRoundTripAtomicAndMapped) {
   EXPECT_EQ(mapped->view(), std::string_view(bytes));
 }
 
-std::vector<std::string> ListDir(const std::string& dir) {
-  std::vector<std::string> names;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return names;
-  while (dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name != "." && name != "..") names.push_back(name);
-  }
-  ::closedir(d);
-  return names;
-}
-
 TEST(SerdeTest, WriteFileAtomicUnwritableDestinationIsUnavailable) {
   // An unwritable destination is an environmental condition, not a bad
   // input: kUnavailable, so callers (the artifact cache) degrade to the
@@ -229,6 +217,18 @@ TEST(SerdeTest, WriteFileAtomicUnwritableDestinationIsUnavailable) {
 }
 
 #if XICC_FAULTS_ENABLED
+
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  ::closedir(d);
+  return names;
+}
 
 TEST(SerdeTest, WriteFileAtomicFaultCleansUpTempAndPreservesOldFile) {
   std::string pattern = testing::TempDir() + "serde_fault.XXXXXX";

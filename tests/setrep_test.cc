@@ -206,7 +206,9 @@ TEST(SetRepTest, RealizedSetsMatchTheUVMatrices) {
         EXPECT_EQ(v, BigInt(static_cast<int64_t>(diff)))
             << "v[" << i << "][" << j << "]";
         // v_ii = 0 (Lemma 5.2's system demands it).
-        if (i == j) EXPECT_EQ(v, BigInt(0));
+        if (i == j) {
+          EXPECT_EQ(v, BigInt(0));
+        }
       }
     }
   }

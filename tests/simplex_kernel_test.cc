@@ -11,6 +11,7 @@
 
 #include "base/bigint.h"
 #include "base/num.h"
+#include "dense_simplex.h"
 #include "ilp/audit.h"
 #include "ilp/linear_system.h"
 #include "ilp/simplex.h"
