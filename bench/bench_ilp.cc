@@ -9,6 +9,11 @@
 //    over random unary Σ, single-threaded.
 //  - "warm-ablation": the same queries with warm starts disabled; verdicts
 //    must be identical (the ablation only counts if both answer the same).
+//  - "search": Thm 4.7 gadgets the way xiccd's one-shot check runs them —
+//    CompileDtd, a throwaway SpecSession, Check without a witness — so the
+//    branch-and-bound counters and the warm kernel's wall time are pinned.
+//    bench/lp_kernel_gate.py compares every counter column of the lp,
+//    consistency and search rows with the committed BENCH_ilp.json.
 //
 // Each row carries the PR 3 (pre-Num, pre-arena) baseline wall time so the
 // before/after of the small-word fast path is machine-readable.
@@ -21,6 +26,7 @@
 #include "bench/bench_util.h"
 #include "core/cardinality_encoding.h"
 #include "core/consistency.h"
+#include "core/spec_session.h"
 #include "ilp/simplex.h"
 #include "ilp/solver.h"
 #include "tests/dense_simplex.h"
@@ -211,6 +217,71 @@ void RunConsistencySection(bench::JsonReport& report) {
   }
 }
 
+void RunSearchSection(bench::JsonReport& report) {
+  bench::Header("Thm 4.7 gadgets through one-shot sessions (B&B search)");
+  std::printf("%12s %8s %10s %8s %8s %6s %8s %10s %12s %10s\n", "gadgets",
+              "count", "time(ms)", "nodes", "pivots", "cuts", "warm",
+              "fill-in", "small-ops", "ilp(ms)");
+  ConsistencyOptions check;
+  check.build_witness = false;
+  // 64 seeded RandomLip gadgets (rows 3–5, cols 4–8, 2 ones per row), in
+  // four rows of 16; every seed gives a distinct instance.
+  constexpr uint64_t kPerRow = 16;
+  for (uint64_t block = 0; block < 4; ++block) {
+    std::vector<Dtd> dtds;
+    std::vector<ConstraintSet> sigmas;
+    for (uint64_t k = 0; k < kPerRow; ++k) {
+      const uint64_t seed = 1 + block * kPerRow + k;
+      const workloads::LipEncoding gadget = workloads::EncodeLipAsConsistency(
+          workloads::RandomLip(seed, 3 + seed % 3, 4 + seed % 5,
+                               /*ones_per_row=*/2));
+      dtds.push_back(gadget.dtd);
+      sigmas.push_back(gadget.sigma);
+    }
+    SolveCounters total;
+    size_t consistent = 0;
+    double ms = bench::BestTimeMs(3, [&] {
+      total = SolveCounters();
+      consistent = 0;
+      for (size_t i = 0; i < dtds.size(); ++i) {
+        auto compiled = CompileDtd(dtds[i]);
+        if (!compiled.ok()) std::abort();
+        SpecSession session(*compiled, check, /*memo_capacity=*/0);
+        auto r = session.Check(sigmas[i]);
+        if (!r.ok()) std::abort();
+        if (r->consistent) ++consistent;
+        total.Add(r->stats);
+      }
+    });
+    // ILP wall time of the last repetition, whose counters `total` holds.
+    const double ilp_ms =  // xicc-lint: allow(exact-arithmetic)
+        total.ilp_wall_ms;
+    const std::string name = "gadgets-" + std::to_string(block * kPerRow + 1) +
+                             "-" + std::to_string((block + 1) * kPerRow);
+    std::printf("%12s %8zu %10.3f %8zu %8zu %6zu %8zu %10zu %12llu %10.3f\n",
+                name.c_str(), dtds.size(), ms, total.ilp_nodes,
+                total.lp_pivots, total.cuts_added, total.warm_starts,
+                total.lp_kernel.fill_in,
+                static_cast<unsigned long long>(total.num_small_ops), ilp_ms);
+    report.AddRow("search")
+        .Set("dtd", name)
+        .Set("gadgets", dtds.size())
+        .Set("consistent", consistent)
+        .Set("time_ms", ms)
+        .Set("ilp_ms", ilp_ms)
+        .Set("nodes", total.ilp_nodes)
+        .Set("pivots", total.lp_pivots)
+        .Set("cuts", total.cuts_added)
+        .Set("warm_starts", total.warm_starts)
+        .Set("cold_restarts", total.cold_restarts)
+        .Set("search_depth", total.search_depth)
+        .Set("fill_in", total.lp_kernel.fill_in)
+        .Set("small_ops", static_cast<size_t>(total.num_small_ops))
+        .Set("big_ops", static_cast<size_t>(total.num_big_ops))
+        .Set("promotions", static_cast<size_t>(total.num_promotions));
+  }
+}
+
 }  // namespace
 }  // namespace xicc
 
@@ -223,6 +294,7 @@ int main() {
   xicc::bench::JsonReport report("ilp");
   xicc::RunLpSection(report);
   xicc::RunConsistencySection(report);
+  xicc::RunSearchSection(report);
   report.Write();
   return 0;
 }

@@ -24,7 +24,16 @@ Reads BENCH_ilp.json and fails the build if the kernel's contract broke:
    committed BENCH_ilp.json and the README table, not in a hard CI gate —
    shared runners are too noisy to enforce a multiple.
 
-Usage: lp_kernel_gate.py [BENCH_ilp.json]
+4. With --baseline, every non-timing column of every `lp`, `consistency`
+   and `search` row must equal the committed BENCH_ilp.json's: pivots,
+   the pricing split, fill-in, density, fast-lane and arithmetic-tier
+   counters, and the search's nodes, cuts and warm starts. Those counters
+   are exact and deterministic (the same search makes the same pivots in
+   any build type), so there is no noise band: a kernel change that is
+   meant to be faster, not different, must leave every one of them alone.
+   Timing columns (`*_ms`, and the `*_x` ratios of timings) are skipped.
+
+Usage: lp_kernel_gate.py [BENCH_ilp.json] [--baseline COMMITTED_BENCH_ilp.json]
 """
 
 import json
@@ -46,8 +55,64 @@ LP_FIELDS = (
 )
 
 
+BASELINE_SECTIONS = ("lp", "consistency", "search")
+
+
+def is_timing(column: str) -> bool:
+    return column.endswith("_ms") or column.endswith("_x")
+
+
+def counter_rows(report: dict) -> dict:
+    return {
+        (r.get("section"), r.get("dtd")): r
+        for r in report.get("rows", [])
+        if r.get("section") in BASELINE_SECTIONS
+    }
+
+
+def check_baseline(report: dict, baseline_path: str) -> int:
+    """Fails on any non-timing difference from the committed rows."""
+    with open(baseline_path) as fh:
+        baseline = json.load(fh)
+    now = counter_rows(report)
+    then = counter_rows(baseline)
+    status = 0
+    for key in sorted(set(now) | set(then), key=str):
+        name = f"{key[0]}:{key[1]}"
+        if key not in then or key not in now:
+            where = "the committed baseline" if key not in then else "this run"
+            print(f"FAIL: {name} is missing from {where}", file=sys.stderr)
+            status = 1
+            continue
+        columns = set(now[key]) | set(then[key])
+        for column in sorted(c for c in columns if not is_timing(c)):
+            if now[key].get(column) != then[key].get(column):
+                print(
+                    f"FAIL: {name} {column} = {now[key].get(column)!r}, "
+                    f"committed {then[key].get(column)!r} — the search or "
+                    "the kernel's arithmetic changed, not only its speed.",
+                    file=sys.stderr,
+                )
+                status = 1
+    if status == 0:
+        print(
+            f"OK: {len(now)} lp/consistency/search rows match the counters "
+            f"of {baseline_path}"
+        )
+    return status
+
+
 def main() -> int:
-    path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_ilp.json"
+    args = sys.argv[1:]
+    baseline_path = None
+    if "--baseline" in args:
+        at = args.index("--baseline")
+        if at + 1 >= len(args):
+            print("error: --baseline needs a path", file=sys.stderr)
+            return 2
+        baseline_path = args[at + 1]
+        del args[at : at + 2]
+    path = args[0] if args else "BENCH_ilp.json"
     with open(path) as fh:
         report = json.load(fh)
     rows = report.get("rows", [])
@@ -124,6 +189,8 @@ def main() -> int:
         f"* {1.0 + GRACE} ({gate['speedup_vs_dense_x']:.2f}x speedup); all "
         "verdicts identical"
     )
+    if baseline_path is not None:
+        return check_baseline(report, baseline_path)
     return 0
 
 

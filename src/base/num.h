@@ -57,6 +57,15 @@ inline uint64_t Gcd64(uint64_t a, uint64_t b) {
 /// needed is against g = gcd(b, d).
 inline bool SmallAdd(int64_t a, int64_t b, int64_t c, int64_t d, int64_t* on,
                      int64_t* od) {
+  // Integer shortcut: with b = d = 1 the general path below reduces to this
+  // sum, and it fails exactly where that path does.
+  if ((b | d) == 1) {
+    int64_t t;
+    if (__builtin_add_overflow(a, c, &t) || t == INT64_MIN) return false;
+    *on = t;
+    *od = 1;
+    return true;
+  }
   const int64_t g = static_cast<int64_t>(
       Gcd64(static_cast<uint64_t>(b), static_cast<uint64_t>(d)));
   const int64_t b1 = b / g;
@@ -85,6 +94,14 @@ inline bool SmallAdd(int64_t a, int64_t b, int64_t c, int64_t d, int64_t* on,
 /// result canonical without a final gcd.
 inline bool SmallMul(int64_t a, int64_t b, int64_t c, int64_t d, int64_t* on,
                      int64_t* od) {
+  // Integer shortcut, failing exactly where the general path does.
+  if ((b | d) == 1) {
+    int64_t n;
+    if (__builtin_mul_overflow(a, c, &n) || n == INT64_MIN) return false;
+    *on = n;
+    *od = 1;
+    return true;
+  }
   if (a == 0 || c == 0) {
     *on = 0;
     *od = 1;
@@ -377,6 +394,15 @@ class Num {
     return out;
   }
 
+  /// The exact route of -=, *= and /= on its own: what those operators run
+  /// when an operand is big, the small attempt overflows or kNumPromote
+  /// fires. A word lane that makes its own small attempt (consulting the
+  /// probe where the operator would) finishes a cell here, so values and
+  /// NumCounters come out as if the operator had run.
+  void SubSlow(const Num& rhs);
+  void MulSlow(const Num& rhs);
+  void DivSlow(const Num& rhs);
+
   /// Representation invariant, for the XICC_AUDIT tableau auditor: the
   /// small tier is canonical and excludes INT64_MIN; the big tier holds
   /// only values that genuinely need it (a demotable big is a rep bug).
@@ -394,9 +420,6 @@ class Num {
   void SetFromRational(Rational r, bool inputs_small);
 
   void AddSlow(const Num& rhs);
-  void SubSlow(const Num& rhs);
-  void MulSlow(const Num& rhs);
-  void DivSlow(const Num& rhs);
   static int CompareSlow(const Num& lhs, const Num& rhs);
 
   union {

@@ -712,14 +712,15 @@ Status WriteTableau(serde::Writer& w, const LpTableau& tableau) {
   // column, zeros included.
   NumArrayEnc cells;
   const Num zero;
-  for (const LpRow& row : tableau.rows) {
+  const LpRowStore& store = tableau.rows;
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t len = store.RowSize(r);
     size_t k = 0;
     for (size_t c = 0; c < cols; ++c) {
-      const bool listed =
-          k < row.size() && row.cols[k] == static_cast<int>(c);
-      cells.Append(listed ? row.vals[k++] : zero);
+      const bool listed = k < len && store.Col(r, k) == static_cast<int>(c);
+      cells.Append(listed ? store.Value(r, k++) : zero);
     }
-    if (k != row.size() || row.cols.size() != row.vals.size()) {
+    if (k != len) {
       return Status::Internal("tableau row width skew at serialization");
     }
   }
@@ -778,16 +779,17 @@ Result<LpTableau> ReadTableau(serde::Cursor& cursor) {
   XICC_ASSIGN_OR_RETURN(
       NumFlatView cells,
       ReadNumFlat(cursor, static_cast<int64_t>(row_count * col_count)));
-  tableau.rows.resize(row_count);
+  LpRowStore& store = tableau.rows;
+  store.Reset(row_count);
   for (uint64_t r = 0; r < row_count; ++r) {
-    LpRow& row = tableau.rows[r];
+    store.BeginRow(r);
     for (size_t c = 0; c < col_count; ++c) {
       const size_t slot = r * col_count + c;
       const RawNum& raw = cells.raw[slot];
       if (raw.n == 0 && raw.d == 1) continue;  // Canonical zero.
       Num value;
       XICC_RETURN_IF_ERROR(DecodeNumSlot(cells, slot, &value));
-      if (!value.is_zero()) row.Append(static_cast<int>(c), std::move(value));
+      if (!value.is_zero()) store.AppendCell(r, static_cast<int>(c), value);
     }
   }
   return tableau;

@@ -77,19 +77,21 @@ uint64_t CompiledDtdDigest(const CompiledDtd& compiled) {
   // out of order or past the width — still fold in afterwards, so writing
   // one through the artifact is caught too.
   const int64_t width = static_cast<int64_t>(tab.columns.size());
-  for (const LpRow& row : tab.rows) {
+  const LpRowStore& rows = tab.rows;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const size_t len = rows.RowSize(i);
     size_t k = 0;
     int64_t c = 0;  // Next column of the dense walk.
-    for (; k < row.size() && row.cols[k] >= c && row.cols[k] < width; ++k) {
-      d.Zeros(static_cast<uint64_t>(row.cols[k] - c));
-      d.Str(row.vals[k].ToString());
+    for (; k < len && rows.Col(i, k) >= c && rows.Col(i, k) < width; ++k) {
+      d.Zeros(static_cast<uint64_t>(rows.Col(i, k) - c));
+      d.Str(rows.Value(i, k).ToString());
       d.U64(1);
-      c = row.cols[k] + 1;
+      c = rows.Col(i, k) + 1;
     }
     d.Zeros(static_cast<uint64_t>(width - c));
-    for (; k < row.size(); ++k) {
-      d.U64(static_cast<uint64_t>(static_cast<int64_t>(row.cols[k])));
-      d.Str(row.vals[k].ToString());
+    for (; k < len; ++k) {
+      d.U64(static_cast<uint64_t>(static_cast<int64_t>(rows.Col(i, k))));
+      d.Str(rows.Value(i, k).ToString());
     }
   }
 

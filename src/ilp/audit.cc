@@ -1,6 +1,8 @@
 #include "ilp/audit.h"
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/bigint.h"
@@ -152,18 +154,18 @@ std::vector<std::string> AuditTableau(const LinearSystem& system,
   // everywhere else — the algebraic core of "x_B = rhs − Σ nonbasic terms".
   // One pass over the stored cells; a basic column whose own-row cell is
   // never met is absent, i.e. zero.
+  const LpRowStore& rows = tableau.rows;
   const Num one(1);
   std::vector<bool> unit_seen(cols, false);
   for (size_t i = 0; i < m; ++i) {
-    const LpRow& row = tableau.rows[i];
-    for (size_t k = 0; k < row.size(); ++k) {
-      const size_t j = static_cast<size_t>(row.cols[k]);
+    for (size_t k = 0; k < rows.RowSize(i); ++k) {
+      const size_t j = static_cast<size_t>(rows.Col(i, k));
       if (basic_in[j] < 0) continue;
       if (i != static_cast<size_t>(basic_in[j])) {
         out.push_back("basic column " + std::to_string(j) +
                       " has a nonzero entry outside its row, at " +
                       RowCol(i, j));
-      } else if (row.vals[k] == one) {
+      } else if (rows.Value(i, k) == one) {
         unit_seen[j] = true;
       }
     }
@@ -182,10 +184,9 @@ std::vector<std::string> AuditTableau(const LinearSystem& system,
                     " (an infeasible re-solve leaked into a kept tableau)");
     }
     CheckCell(tableau.rhs[i], "rhs of row " + std::to_string(i), &out);
-    const LpRow& row = tableau.rows[i];
-    for (size_t k = 0; k < row.size(); ++k) {
-      CheckCell(row.vals[k], RowCol(i, static_cast<size_t>(row.cols[k])),
-                &out);
+    for (size_t k = 0; k < rows.RowSize(i); ++k) {
+      const size_t j = static_cast<size_t>(rows.Col(i, k));
+      CheckCell(rows.Value(i, k), RowCol(i, j), &out);
     }
   }
   return out;
@@ -193,18 +194,55 @@ std::vector<std::string> AuditTableau(const LinearSystem& system,
 
 std::vector<std::string> AuditTableauRows(const LpTableau& tableau) {
   std::vector<std::string> out;
+  const LpRowStore& rows = tableau.rows;
   const size_t width = tableau.columns.size();
-  for (size_t i = 0; i < tableau.rows.size(); ++i) {
-    const LpRow& row = tableau.rows[i];
-    if (row.cols.size() != row.vals.size()) {
-      out.push_back("row " + std::to_string(i) + " lists " +
-                    std::to_string(row.cols.size()) + " columns for " +
-                    std::to_string(row.vals.size()) + " cells");
+  const size_t used = rows.cells_used;
+  if (rows.row_len.size() != rows.size() || rows.cell_num.size() < used ||
+      rows.cell_den.size() < used || rows.cell_col.size() < used) {
+    out.push_back("row store shape mismatch: " +
+                  std::to_string(rows.size()) + " run starts, " +
+                  std::to_string(rows.row_len.size()) + " run lengths, " +
+                  std::to_string(used) + " cells used");
+    return out;  // Nothing below indexes safely.
+  }
+  // Runs: inside the used prefix and pairwise disjoint (sorted by start,
+  // each must end before the next begins); their lengths sum to the live
+  // count.
+  std::vector<std::pair<size_t, size_t>> runs;  // (start, row)
+  size_t live = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const size_t start = rows.row_start[i];
+    const size_t len = rows.row_len[i];
+    if (start > used || len > used - start) {
+      out.push_back("row " + std::to_string(i) + " runs over cells [" +
+                    std::to_string(start) + ", " +
+                    std::to_string(start + len) +
+                    ") past the used prefix of " + std::to_string(used));
       continue;
     }
+    live += len;
+    if (len > 0) runs.emplace_back(start, i);
+  }
+  if (!out.empty()) return out;
+  std::sort(runs.begin(), runs.end());
+  for (size_t r = 1; r < runs.size(); ++r) {
+    const size_t prev = runs[r - 1].second;
+    if (rows.row_start[prev] + rows.row_len[prev] > runs[r].first) {
+      out.push_back("rows " + std::to_string(prev) + " and " +
+                    std::to_string(runs[r].second) + " share store cells");
+    }
+  }
+  if (live != rows.live_cells) {
+    out.push_back("row store counts " + std::to_string(rows.live_cells) +
+                  " live cells, but its runs hold " + std::to_string(live));
+  }
+  size_t live_big = 0;
+  std::vector<bool> big_seen(rows.big.size(), false);
+  for (size_t i = 0; i < rows.size(); ++i) {
     int prev = -1;
-    for (size_t k = 0; k < row.size(); ++k) {
-      const int j = row.cols[k];
+    for (size_t k = 0; k < rows.RowSize(i); ++k) {
+      const size_t s = rows.row_start[i] + k;
+      const int j = rows.cell_col[s];
       if (j < 0 || static_cast<size_t>(j) >= width) {
         out.push_back("row " + std::to_string(i) + " lists column " +
                       std::to_string(j) + " outside width " +
@@ -215,11 +253,34 @@ std::vector<std::string> AuditTableauRows(const LpTableau& tableau) {
                       std::to_string(j));
       }
       prev = j;
-      if (row.vals[k].is_zero()) {
-        out.push_back("stored zero at " +
-                      RowCol(i, static_cast<size_t>(j)));
+      const std::string where = RowCol(i, static_cast<size_t>(j));
+      if (rows.cell_den[s] != 0) {
+        if (rows.cell_num[s] == 0) out.push_back("stored zero at " + where);
+        continue;
+      }
+      ++live_big;
+      const internal::Word index = rows.cell_num[s];
+      if (index < 0 || static_cast<size_t>(index) >= rows.big.size()) {
+        out.push_back("big cell at " + where + " names entry " +
+                      std::to_string(index) + " of " +
+                      std::to_string(rows.big.size()));
+        continue;
+      }
+      if (big_seen[static_cast<size_t>(index)]) {
+        out.push_back("big entry " + std::to_string(index) +
+                      " is shared, again at " + where);
+      }
+      big_seen[static_cast<size_t>(index)] = true;
+      if (rows.big[static_cast<size_t>(index)].is_small()) {
+        out.push_back("big cell at " + where +
+                      " holds a value that fits the small tier");
       }
     }
+  }
+  if (live_big != rows.live_big) {
+    out.push_back("row store counts " + std::to_string(rows.live_big) +
+                  " live big cells, but its runs hold " +
+                  std::to_string(live_big));
   }
   return out;
 }

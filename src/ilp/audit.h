@@ -45,10 +45,13 @@ std::vector<std::string> AuditTrail(
 std::vector<std::string> AuditTableau(const LinearSystem& system,
                                       const LpTableau& tableau);
 
-/// The sparse-row invariants alone, which hold mid-re-solve too (when rhs
-/// cells may still be negative): each row lists as many columns as cells,
-/// its columns are strictly increasing and inside the tableau's width, and
-/// it stores no zero.
+/// The row-store invariants alone, which hold mid-re-solve too (when rhs
+/// cells may still be negative): every run lies inside the used prefix,
+/// runs are disjoint and their lengths sum to the live count; each row's
+/// columns are strictly increasing and inside the tableau's width, and it
+/// stores no zero; every big cell names an entry of the big table that no
+/// other cell names and that holds a value the small tier cannot, and the
+/// live big count matches.
 std::vector<std::string> AuditTableauRows(const LpTableau& tableau);
 
 /// Fast-lane recomputation — the XICC_NUM_AUDIT twin for the sparse kernel's

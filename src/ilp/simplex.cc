@@ -25,10 +25,9 @@ struct LpScratch {
   /// (constraints + 1) × (columns + 1) cells, refilled by every cold solve.
   std::vector<Word> nums;
   std::vector<Word> dens;
-  /// RowAxpy's merge target. It is swapped with the row it rebuilds, so row
-  /// buffers circulate between a tableau and this scratch instead of being
-  /// reallocated per elimination.
-  LpRow merged;
+  /// Compaction's target store, swapped with the store it compacts, so cell
+  /// buffers circulate between tableaux and this scratch.
+  LpRowStore compacted;
   /// Price-out: the parent row each column is basic in (-1: nonbasic), and
   /// the parent rows one appended row must be eliminated against.
   std::vector<int> basic_row;
@@ -283,83 +282,304 @@ class SparseKernel {
 };
 
 // ---------------------------------------------------------------------------
-// Sparse-row pivoting for the dual (warm) re-solve.
+// Row-store pivoting for the dual (warm) re-solve.
 // ---------------------------------------------------------------------------
 
-/// target -= factor · source over the two rows' nonzeros (a two-pointer
-/// merge), and target_rhs -= factor · source_rhs. Cells that cancel to zero
-/// drop out; cells only `source` listed that come out nonzero are fill-in.
-void RowAxpy(LpRow* target, Num* target_rhs, const LpRow& source,
-             const Num& source_rhs, const Num& factor, size_t* fill_in) {
-  LpRow& out = g_lp_scratch.merged;
-  out.clear();
-  const size_t a = target->size();
-  const size_t b = source.size();
+/// Stores `value` as the cell at store position `s`. `was_big` says whether
+/// the cell held a big entry before, which is reused if `value` is big too
+/// and dropped otherwise.
+void StoreCell(LpRowStore* st, size_t s, bool was_big, Num value) {
+  Word n = 0;
+  Word d = 1;
+  if (value.SmallWords(&n, &d)) {
+    if (was_big) --st->live_big;
+    st->cell_num[s] = n;
+    st->cell_den[s] = d;
+    return;
+  }
+  if (was_big) {
+    st->big[static_cast<size_t>(st->cell_num[s])] = std::move(value);
+    return;
+  }
+  st->cell_num[s] = static_cast<Word>(st->big.size());
+  st->cell_den[s] = 0;
+  st->big.push_back(std::move(value));
+  ++st->live_big;
+}
+
+/// The sign of the cell at store position `s`.
+int CellSign(const LpRowStore& st, size_t s) {
+  const Word n = st.cell_num[s];
+  if (st.cell_den[s] == 0) return st.big[static_cast<size_t>(n)].sign();
+  return (n > 0) - (n < 0);
+}
+
+/// Row i's position of column `col` (an index into its run), or -1 when
+/// the cell is zero. A run whose first and last columns cannot bracket
+/// `col` is ruled out before the binary search.
+int FindCell(const LpRowStore& st, size_t i, int col) {
+  const size_t len = st.row_len[i];
+  if (len == 0) return -1;
+  const int* first = st.cell_col.data() + st.row_start[i];
+  if (col < first[0] || col > first[len - 1]) return -1;
+  const int* it = std::lower_bound(first, first + len, col);
+  return *it == col ? static_cast<int>(it - first) : -1;
+}
+
+/// row_i -= factor · row_p, and rhs_i -= factor · rhs_p: a two-pointer merge
+/// of the two runs into a fresh run at the end of the store; row i's old run
+/// is abandoned. Cells that cancel to zero drop out; cells only row p lists
+/// that come out nonzero are fill-in. The arithmetic is Num's, cell by cell
+/// — a small product and difference run on the words (SmallMul/SmallAdd,
+/// with the kNumPromote probe where Num's operators consult it) and
+/// anything else takes Num's exact route — so values, NumCounters and
+/// fault schedules are those of `cell -= factor * source` on every cell.
+void RowAxpy(LpTableau* tab, size_t i, size_t p, const Num& factor,
+             size_t* fill_in) {
+  LpRowStore& st = tab->rows;
+  const size_t a = st.row_len[i];
+  const size_t b = st.row_len[p];
+  st.ReserveCells(a + b);  // Before any pointer: it may reallocate.
+  int* col = st.cell_col.data();
+  Word* num = st.cell_num.data();
+  Word* den = st.cell_den.data();
+  const size_t ts = st.row_start[i];
+  const size_t ps = st.row_start[p];
+  const size_t out_start = st.cells_used;
+  size_t out = out_start;
+  Word fn = 0;
+  Word fd = 0;  // Stays 0 when the factor is big.
+  if (!factor.SmallWords(&fn, &fd)) fd = 0;
+  uint64_t small_ops = 0;
   size_t x = 0;
   size_t y = 0;
   while (x < a || y < b) {
-    if (y >= b || (x < a && target->cols[x] < source.cols[y])) {
-      out.Append(target->cols[x], std::move(target->vals[x]));
+    if (y >= b || (x < a && col[ts + x] < col[ps + y])) {
+      // Untouched; a big cell takes its entry along.
+      col[out] = col[ts + x];
+      num[out] = num[ts + x];
+      den[out] = den[ts + x];
+      ++out;
       ++x;
       continue;
     }
-    const int col = source.cols[y];
-    const bool fresh = x >= a || target->cols[x] > col;
-    Num value;
-    if (fresh) {
-      value = -(factor * source.vals[y]);
+    const size_t src = ps + y++;
+    const bool fresh = x >= a || col[ts + x] > col[src];
+    // product = factor · source cell.
+    Word pn = 0;
+    Word pd = 0;  // Stays 0 while the product is big.
+    Num product;
+    if (fd != 0 && den[src] != 0 && !XICC_FAULT_FIRES(kNumPromote) &&
+        internal::SmallMul(fn, fd, num[src], den[src], &pn, &pd)) {
+      XICC_DCHECK_AUDIT(
+          AuditFastLaneOp('*', fn, fd, num[src], den[src], pn, pd));
+      ++small_ops;
     } else {
-      value = std::move(target->vals[x]);
-      value -= factor * source.vals[y];
-      ++x;
+      product = factor;
+      product.MulSlow(st.CellValue(src));
+      if (!product.SmallWords(&pn, &pd)) pd = 0;
     }
-    ++y;
-    if (value.is_zero()) continue;
-    if (fresh) ++*fill_in;
-    out.Append(col, std::move(value));
+    // A small product is canonical, so its numerator is not INT64_MIN and
+    // -pn below is safe.
+    if (fresh) {
+      ++*fill_in;  // A product of nonzeros is nonzero.
+      col[out] = col[src];
+      if (pd != 0) {
+        num[out] = -pn;
+        den[out] = pd;
+      } else {
+        StoreCell(&st, out, /*was_big=*/false, -product);
+      }
+      ++out;
+      continue;
+    }
+    const size_t tgt = ts + x++;
+    const bool was_big = den[tgt] == 0;
+    Word vn = 0;
+    Word vd = 1;
+    if (!was_big && pd != 0 && !XICC_FAULT_FIRES(kNumPromote) &&
+        internal::SmallAdd(num[tgt], den[tgt], -pn, pd, &vn, &vd)) {
+      XICC_DCHECK_AUDIT(
+          AuditFastLaneOp('+', num[tgt], den[tgt], -pn, pd, vn, vd));
+      ++small_ops;
+      if (vn == 0) continue;
+      col[out] = col[tgt];
+      num[out] = vn;
+      den[out] = vd;
+      ++out;
+      continue;
+    }
+    Num value = st.CellValue(tgt);
+    value.SubSlow(pd != 0 ? Num::FromCanonicalWords(pn, pd) : product);
+    if (value.is_zero()) {
+      if (was_big) --st.live_big;
+      continue;
+    }
+    // A big target's entry moves to the new run with it.
+    col[out] = col[tgt];
+    num[out] = num[tgt];
+    den[out] = den[tgt];
+    StoreCell(&st, out++, was_big, std::move(value));
   }
-  std::swap(*target, out);
-  if (!source_rhs.is_zero()) *target_rhs -= factor * source_rhs;
+  ThisThreadNumCounters().small_ops += small_ops;
+  st.row_start[i] = out_start;
+  st.row_len[i] = out - out_start;
+  st.cells_used = out;
+  st.live_cells += out - out_start;
+  st.live_cells -= a;
+  const Num& source_rhs = tab->rhs[p];
+  if (!source_rhs.is_zero()) tab->rhs[i] -= factor * source_rhs;
 }
 
-/// One dual pivot inside `tab`: normalizes row `leaving` by its cell
-/// `vals[k]` and eliminates that cell's column from every other row. The
-/// caller updates the basis.
+/// One dual pivot inside `tab`: normalizes row `leaving` by its k-th cell
+/// and eliminates that cell's column from every other row. The caller
+/// updates the basis.
 void PivotRows(LpTableau* tab, size_t leaving, size_t k, size_t* fill_in) {
-  LpRow& p = tab->rows[leaving];
-  const int entering = p.cols[k];
-  const Num pivot = p.vals[k];
-  for (Num& cell : p.vals) cell /= pivot;  // Listed cells are nonzero.
+  LpRowStore& st = tab->rows;
+  const size_t ps = st.row_start[leaving];
+  const size_t len = st.row_len[leaving];
+  const int entering = st.cell_col[ps + k];
+  const Num pivot = st.CellValue(ps + k);
+  // Listed cells are nonzero, so the scaled row keeps its columns and is
+  // rewritten in place: cell /= pivot, as Num's operator would.
+  Word inv_n = 0;
+  Word inv_d = 0;  // Stays 0 when the pivot is big.
+  Word pn = 0;
+  Word pd = 1;
+  if (pivot.SmallWords(&pn, &pd)) {
+    // The reciprocal of a canonical word pair is canonical once the sign
+    // moves to the numerator (pn is never INT64_MIN, so -pn is safe).
+    inv_n = pn < 0 ? -pd : pd;
+    inv_d = pn < 0 ? -pn : pn;
+  }
+  uint64_t small_ops = 0;
+  for (size_t s = ps; s < ps + len; ++s) {
+    const bool was_big = st.cell_den[s] == 0;
+    Word n = 0;
+    Word d = 1;
+    if (inv_d != 0 && !was_big && !XICC_FAULT_FIRES(kNumPromote) &&
+        internal::SmallMul(st.cell_num[s], st.cell_den[s], inv_n, inv_d, &n,
+                           &d)) {
+      XICC_DCHECK_AUDIT(AuditFastLaneOp('*', st.cell_num[s], st.cell_den[s],
+                                        inv_n, inv_d, n, d));
+      ++small_ops;
+      st.cell_num[s] = n;
+      st.cell_den[s] = d;
+      continue;
+    }
+    Num value = st.CellValue(s);
+    value.DivSlow(pivot);
+    StoreCell(&st, s, was_big, std::move(value));
+  }
+  ThisThreadNumCounters().small_ops += small_ops;
   Num& p_rhs = tab->rhs[leaving];
   if (!p_rhs.is_zero()) p_rhs /= pivot;
-  for (size_t i = 0; i < tab->rows.size(); ++i) {
+  for (size_t i = 0; i < st.size(); ++i) {
     if (i == leaving) continue;
-    const Num* cell = tab->rows[i].Find(entering);
-    if (cell == nullptr) continue;
-    const Num factor = *cell;
-    RowAxpy(&tab->rows[i], &tab->rhs[i], p, p_rhs, factor, fill_in);
+    const int at = FindCell(st, i, entering);
+    if (at < 0) continue;
+    const Num factor = st.Value(i, static_cast<size_t>(at));
+    RowAxpy(tab, i, leaving, factor, fill_in);
   }
 }
 
 }  // namespace
 
-const Num* LpRow::Find(int col) const {
-  const auto it = std::lower_bound(cols.begin(), cols.end(), col);
-  if (it == cols.end() || *it != col) return nullptr;
-  return &vals[static_cast<size_t>(it - cols.begin())];
+LpRowStore& LpRowStore::operator=(const LpRowStore& other) {
+  if (this == &other) return *this;
+  row_start = other.row_start;
+  row_len = other.row_len;
+  cells_used = 0;
+  ReserveCells(other.cells_used);
+  std::copy_n(other.cell_col.data(), other.cells_used, cell_col.data());
+  std::copy_n(other.cell_num.data(), other.cells_used, cell_num.data());
+  std::copy_n(other.cell_den.data(), other.cells_used, cell_den.data());
+  cells_used = other.cells_used;
+  big = other.big;
+  live_cells = other.live_cells;
+  live_big = other.live_big;
+  return *this;
 }
 
-LpTableau& LpTableau::operator=(const LpTableau& other) {
-  if (this == &other) return *this;
-  columns = other.columns;
-  basis = other.basis;
-  rhs = other.rhs;
-  num_constraints = other.num_constraints;
-  // resize() moves the rows it keeps when it reallocates, so their buffers
-  // survive; the per-row copies below then reuse them.
-  rows.resize(other.rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) rows[i] = other.rows[i];
-  return *this;
+void LpRowStore::swap(LpRowStore& other) noexcept {
+  row_start.swap(other.row_start);
+  row_len.swap(other.row_len);
+  cell_col.swap(other.cell_col);
+  cell_num.swap(other.cell_num);
+  cell_den.swap(other.cell_den);
+  std::swap(cells_used, other.cells_used);
+  big.swap(other.big);
+  std::swap(live_cells, other.live_cells);
+  std::swap(live_big, other.live_big);
+}
+
+void LpRowStore::Reset(size_t rows) {
+  row_start.assign(rows, 0);
+  row_len.assign(rows, 0);
+  cells_used = 0;
+  big.clear();
+  live_cells = 0;
+  live_big = 0;
+}
+
+void LpRowStore::Grow(size_t rows) {
+  row_start.resize(rows, cells_used);
+  row_len.resize(rows, 0);
+}
+
+void LpRowStore::BeginRow(size_t i) {
+  const size_t s = row_start[i];
+  for (size_t k = s; k < s + row_len[i]; ++k) {
+    if (cell_den[k] == 0) --live_big;
+  }
+  live_cells -= row_len[i];
+  row_start[i] = cells_used;
+  row_len[i] = 0;
+}
+
+void LpRowStore::AppendCell(size_t i, int col, const Num& value) {
+  XICC_DCHECK(row_start[i] + row_len[i] == cells_used);
+  ReserveCells(1);
+  const size_t s = cells_used++;
+  cell_col[s] = col;
+  StoreCell(this, s, /*was_big=*/false, value);
+  ++row_len[i];
+  ++live_cells;
+}
+
+void LpRowStore::ReserveCells(size_t extra) {
+  const size_t need = cells_used + extra;
+  if (need <= cell_col.size()) return;
+  const size_t grown = std::max(need, 2 * cell_col.size());
+  cell_col.resize(grown);
+  cell_num.resize(grown);
+  cell_den.resize(grown);
+}
+
+void LpRowStore::Compact() {
+  LpRowStore& out = g_lp_scratch.compacted;
+  out.Reset(size());
+  out.ReserveCells(live_cells);
+  for (size_t i = 0; i < size(); ++i) {
+    const size_t s = row_start[i];
+    const size_t len = row_len[i];
+    const size_t at = out.cells_used;
+    std::copy_n(cell_col.data() + s, len, out.cell_col.data() + at);
+    std::copy_n(cell_num.data() + s, len, out.cell_num.data() + at);
+    std::copy_n(cell_den.data() + s, len, out.cell_den.data() + at);
+    for (size_t k = at; k < at + len; ++k) {
+      if (out.cell_den[k] != 0) continue;
+      Num& value = big[static_cast<size_t>(out.cell_num[k])];
+      out.cell_num[k] = static_cast<Word>(out.big.size());
+      out.big.push_back(std::move(value));
+    }
+    out.row_start[i] = at;
+    out.row_len[i] = len;
+    out.cells_used = at + len;
+  }
+  out.live_cells = out.cells_used;
+  out.live_big = out.big.size();
+  swap(out);
 }
 
 LpTableauPool::Lease::Lease(LpTableauPool* pool) : pool_(pool) {
@@ -620,7 +840,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
   if (tableau != nullptr) {
     tableau->columns = columns;
     tableau->basis.assign(m, -1);
-    tableau->rows.resize(m);
+    tableau->rows.Reset(m);
     tableau->rhs.assign(m, Num());
     tableau->num_constraints = m;
     for (size_t i = 0; i < m; ++i) {
@@ -632,11 +852,10 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
       }
       // The support already lists the row's nonzeros in column order; the
       // artificial columns, which are not exported, come last.
-      LpRow& dst = tableau->rows[i];
-      dst.clear();
+      tableau->rows.BeginRow(i);
       for (int j : kernel.support(i)) {
         if (static_cast<size_t>(j) >= num_structural_slack) break;
-        dst.Append(j, kernel.Get(i, static_cast<size_t>(j)));
+        tableau->rows.AppendCell(i, j, kernel.Get(i, static_cast<size_t>(j)));
       }
       tableau->rhs[i] = kernel.Get(i, rhs_col);
     }
@@ -718,10 +937,15 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
     return identity ? var : var_col[v];
   };
 
+  // Every rewritten row leaves its old run behind as dead cells; drop them
+  // here, between re-solves, once they outnumber the live ones.
+  LpRowStore& store = tableau->rows;
+  if (store.WantsCompaction()) store.Compact();
+
   // Extend the tableau in place: one slack-basic row per appended half. The
   // fresh slack columns are zero in every parent row, and a sparse row lists
   // only its nonzeros, so the parent rows are not touched.
-  tableau->rows.resize(rows);
+  store.Grow(rows);
   tableau->rhs.resize(rows);
   std::vector<int>& basis = tableau->basis;
   basis.reserve(rows);
@@ -735,19 +959,18 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
     // (a cold export is the identity; new variables land past everything),
     // so cells arrive in column order once the slack is slotted in between
     // the parent variables and the new ones.
-    LpRow& cells = tableau->rows[row];
-    cells.clear();
+    store.BeginRow(row);
     bool slack_listed = false;
     for (const auto& [var, coeff] : c.coeffs) {
       if (coeff.is_zero()) continue;
       const int col = column_of(var);
       if (!slack_listed && col > slack) {
-        cells.Append(slack, Num(1));
+        store.AppendCell(row, slack, Num(1));
         slack_listed = true;
       }
-      cells.Append(col, sign < 0 ? -coeff : coeff);
+      store.AppendCell(row, col, sign < 0 ? -coeff : coeff);
     }
-    if (!slack_listed) cells.Append(slack, Num(1));
+    if (!slack_listed) store.AppendCell(row, slack, Num(1));
     tableau->rhs[row] = sign < 0 ? -c.rhs : c.rhs;
     basis.push_back(slack);
     tableau->columns.push_back({LpColumnInfo::Kind::kSlack,
@@ -776,23 +999,21 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
   size_t fill_in = 0;
   for (size_t row = old_rows; row < rows; ++row) {
     pending.clear();
-    for (int col : tableau->rows[row].cols) {
+    for (size_t k = 0; k < store.RowSize(row); ++k) {
+      const int col = store.Col(row, k);
       if (static_cast<size_t>(col) < old_cols && basic_row[col] >= 0) {
         pending.push_back(basic_row[col]);
       }
     }
     std::sort(pending.begin(), pending.end());
     for (int i : pending) {
-      const Num* cell = tableau->rows[row].Find(basis[i]);
-      if (cell == nullptr) continue;  // Only a non-unit basis gets here.
-      const Num factor = *cell;
-      RowAxpy(&tableau->rows[row], &tableau->rhs[row], tableau->rows[i],
-              tableau->rhs[i], factor, &fill_in);
+      const int at = FindCell(store, row, basis[i]);
+      if (at < 0) continue;  // Only a non-unit basis gets here.
+      const Num factor = store.Value(row, static_cast<size_t>(at));
+      RowAxpy(tableau, row, static_cast<size_t>(i), factor, &fill_in);
     }
   }
-  for (const LpRow& row : tableau->rows) {
-    out.lp.kernel.nnz_cells += row.size();
-  }
+  out.lp.kernel.nnz_cells = store.live_cells;
   out.lp.kernel.total_cells = rows * total;
   XICC_DCHECK_AUDIT(AuditTableauRows(*tableau));
 
@@ -816,10 +1037,11 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
     if (leaving < 0) break;  // Primal feasible again.
 
     // Entering: the leaving row's smallest column with a negative cell.
-    const LpRow& pivot_row = tableau->rows[static_cast<size_t>(leaving)];
+    const size_t run = store.row_start[static_cast<size_t>(leaving)];
+    const size_t len = store.row_len[static_cast<size_t>(leaving)];
     size_t k = 0;
-    while (k < pivot_row.size() && pivot_row.vals[k].sign() >= 0) ++k;
-    if (k == pivot_row.size()) {
+    while (k < len && CellSign(store, run + k) >= 0) ++k;
+    if (k == len) {
       // Exact certificate; the half-pivoted tableau is the caller's to
       // discard, per the in-place contract.
       out.status = WarmStatus::kOk;
@@ -832,7 +1054,7 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
     }
     ++out.lp.pivots;
     ++out.lp.kernel.bland_pivots;
-    const int entering = pivot_row.cols[k];
+    const int entering = store.cell_col[run + k];
     PivotRows(tableau, static_cast<size_t>(leaving), k, &fill_in);
     basis[leaving] = entering;
   }

@@ -29,52 +29,96 @@ struct LpColumnInfo {
   int sub_sign = 0;
 };
 
-/// One tableau row in sparse form: its nonzero coefficients, with `cols`
-/// strictly increasing and `vals[k]` the value at column `cols[k]`. A column
-/// that is not listed is zero, and no listed value is zero.
-struct LpRow {
-  std::vector<int> cols;
-  std::vector<Num> vals;
+/// The rows of an LpTableau, in one flat cell store (DESIGN.md §12). Row i
+/// is the run [row_start[i], row_start[i] + row_len[i]) of the parallel cell
+/// arrays: `cell_col` lists the row's nonzero columns, strictly increasing
+/// (a column that is not listed is zero, and no listed value is zero), and
+/// `cell_num`/`cell_den` hold each value as canonical small-tier words. A
+/// cell whose `cell_den` is 0 is big: its `cell_num` indexes `big`, which
+/// holds only values that do not fit the small tier.
+///
+/// The warm kernel rewrites a row into a fresh run at the end of the store
+/// and abandons the old one, so runs are disjoint but may leave dead cells
+/// between them; Compact() drops those. The cell arrays' size() is their
+/// capacity, and cells [0, cells_used) are the written prefix. A copy copies
+/// that prefix into the destination's capacity, so a store that is copied
+/// into again and again — a pooled search-node tableau, a session's warm
+/// base — stops allocating once it has grown.
+struct LpRowStore {
+  LpRowStore() = default;
+  LpRowStore(const LpRowStore& other) { *this = other; }
+  LpRowStore(LpRowStore&& other) noexcept { swap(other); }
+  LpRowStore& operator=(const LpRowStore& other);
+  LpRowStore& operator=(LpRowStore&& other) noexcept {
+    swap(other);
+    return *this;
+  }
+  void swap(LpRowStore& other) noexcept;
 
-  size_t size() const { return cols.size(); }
-  void clear() {
-    cols.clear();
-    vals.clear();
+  std::vector<size_t> row_start;
+  std::vector<size_t> row_len;
+  std::vector<int> cell_col;
+  std::vector<internal::Word> cell_num;
+  std::vector<internal::Word> cell_den;
+  size_t cells_used = 0;
+  std::vector<Num> big;
+  /// Σ row_len, and how many of those cells are big.
+  size_t live_cells = 0;
+  size_t live_big = 0;
+
+  size_t size() const { return row_start.size(); }
+  size_t RowSize(size_t i) const { return row_len[i]; }
+  /// Column and value of row i's k-th listed cell.
+  int Col(size_t i, size_t k) const { return cell_col[row_start[i] + k]; }
+  Num Value(size_t i, size_t k) const { return CellValue(row_start[i] + k); }
+  /// The value of the cell at store position `s`.
+  Num CellValue(size_t s) const {
+    return cell_den[s] != 0 ? Num::FromCanonicalWords(cell_num[s], cell_den[s])
+                            : big[static_cast<size_t>(cell_num[s])];
   }
-  /// Appends a nonzero cell; `col` must exceed every column already listed.
-  void Append(int col, Num value) {
-    cols.push_back(col);
-    vals.push_back(std::move(value));
+
+  /// Drops every row and cell, keeping the capacity, and opens `rows` empty
+  /// rows.
+  void Reset(size_t rows);
+  /// Appends empty rows up to `rows` in all.
+  void Grow(size_t rows);
+  /// Moves row i to a fresh, empty run at the end of the store; its old
+  /// cells become dead.
+  void BeginRow(size_t i);
+  /// Appends a cell to row i, whose run must end the store (BeginRow).
+  /// Nothing about the cell is checked: the auditor judges the rows.
+  void AppendCell(size_t i, int col, const Num& value);
+  /// Capacity for `extra` more cells past the written prefix. Pointers into
+  /// the cell arrays do not survive it.
+  void ReserveCells(size_t extra);
+  /// True once dead cells, or dead big entries, outnumber the live ones.
+  bool WantsCompaction() const {
+    return cells_used - live_cells > live_cells ||
+           big.size() - live_big > live_big;
   }
-  /// The cell at `col`, or null when it is zero (binary search).
-  const Num* Find(int col) const;
+  /// Rewrites the live runs in row order at the start of the store and
+  /// rebuilds `big` from the live big cells.
+  void Compact();
 };
 
 /// The final basis rows, for Gomory cut derivation and warm re-solving.
 /// Row i reads
-///   x_{basis[i]} = rhs[i] - Σ_j coeffs[i][j]·x_j   (j over all columns),
-/// where basic columns carry coefficient 0 except their own unit entry.
+///   x_{basis[i]} = rhs[i] - Σ_j a_ij·x_j   (j over all columns),
+/// where a_ij is row i's cell at column j in `rows` and basic columns carry
+/// coefficient 0 except their own unit entry.
 ///
-/// Rows are stored sparse (LpRow), so a copy costs O(rows + nnz) rather than
-/// O(rows × columns): the encodings' tableaux are a few percent nonzero, and
-/// search nodes copy their parent's tableau. Copy-assignment reuses the row
-/// buffers the destination already owns, so a tableau that is copied into
-/// again and again — a pooled search-node tableau, a session's root scratch
-/// — stops allocating once its buffers have grown.
+/// Rows are sparse and live in one store (LpRowStore), so a copy costs a few
+/// memcpys of O(rows + nnz) bytes rather than O(rows × columns) cells: the
+/// encodings' tableaux are a few percent nonzero, and search nodes copy
+/// their parent's tableau.
 struct LpTableau {
-  LpTableau() = default;
-  LpTableau(const LpTableau&) = default;
-  LpTableau(LpTableau&&) noexcept = default;
-  LpTableau& operator=(const LpTableau& other);
-  LpTableau& operator=(LpTableau&&) noexcept = default;
-
   std::vector<LpColumnInfo> columns;
   /// basis[i] indexes into `columns`; -1 marks a (degenerate, zero-valued)
   /// artificial still in the basis — rows like that are unusable for cuts
   /// and poison warm re-solves (the artificial column is not exported).
   std::vector<int> basis;
   /// Per row, its nonzero cells over `columns`.
-  std::vector<LpRow> rows;
+  LpRowStore rows;
   std::vector<Num> rhs;
   /// How many rows of the originating LinearSystem this tableau covers.
   /// A warm re-solve treats system rows past this index as appended.
@@ -83,8 +127,8 @@ struct LpTableau {
 
 /// A free list of tableaux for depth-first searches that copy a parent's
 /// basis into every node. A node leases a tableau; the lease hands it back,
-/// row buffers and all, when the node exits, so the next node's copy reuses
-/// those buffers instead of allocating. Not thread-safe: one pool per
+/// store and all, when the node exits, so the next node's copy reuses that
+/// capacity instead of allocating. Not thread-safe: one pool per
 /// search thread.
 class LpTableauPool {
  public:

@@ -80,16 +80,17 @@ std::optional<LinearConstraint> DeriveGomoryCut(const LinearSystem& system,
   }
   if (best_row < 0) return std::nullopt;
 
-  const LpRow& row = tableau.rows[best_row];
-  Num rhs = Frac(tableau.rhs[best_row]);
+  const LpRowStore& rows = tableau.rows;
+  const size_t row = static_cast<size_t>(best_row);
+  Num rhs = Frac(tableau.rhs[row]);
   // Accumulate structural coefficients; slack columns substitute to
   // structural terms plus a constant folded into the rhs. Only the row's
   // nonzeros can have a fractional part.
   std::map<VarId, Num> coeffs;
-  for (size_t k = 0; k < row.size(); ++k) {
-    Num f = Frac(row.vals[k]);
+  for (size_t k = 0; k < rows.RowSize(row); ++k) {
+    Num f = Frac(rows.Value(row, k));
     if (f.is_zero()) continue;
-    const LpColumnInfo& column = tableau.columns[row.cols[k]];
+    const LpColumnInfo& column = tableau.columns[rows.Col(row, k)];
     if (column.kind == LpColumnInfo::Kind::kStructural) {
       coeffs[column.index] += f;
       continue;
@@ -177,7 +178,12 @@ class Search {
     if (options_.warm_start && warm->valid) {
       XICC_DCHECK_AUDIT(AuditTableau(*work_, warm->base_tableau));
     } else {
-      if (!SolveLp(/*parent=*/nullptr, base_tab).feasible) return Finish();
+      if (!SolveLp(/*parent=*/nullptr, base_tab).feasible) {
+        // A refutation by the base LP is the search's root node, as it is
+        // for SolveIlp; a stop that fired has no verdict to count.
+        if (halt_.ok()) ++counters_.ilp_nodes;
+        return Finish();
+      }
       base = base_tab;
       if (options_.warm_start) {
         warm->base_tableau = *base_tab;

@@ -115,21 +115,42 @@ struct TableauFixture {
   }
 };
 
-/// The stored cell of `row` at `col`, or null when the column is absent.
-Num* CellAt(LpRow* row, int col) {
-  for (size_t k = 0; k < row->size(); ++k) {
-    if (row->cols[k] == col) return &row->vals[k];
+/// Row `row`'s cells as (column, value) pairs, in store order.
+std::vector<std::pair<int, Num>> RowCells(const LpTableau& tableau,
+                                          size_t row) {
+  std::vector<std::pair<int, Num>> cells;
+  for (size_t k = 0; k < tableau.rows.RowSize(row); ++k) {
+    cells.emplace_back(tableau.rows.Col(row, k), tableau.rows.Value(row, k));
   }
-  return nullptr;
+  return cells;
+}
+
+/// Rewrites row `row` as exactly `cells`, unchecked — the way a corrupting
+/// write would — into a fresh run at the end of the store.
+void RewriteRow(LpTableau* tableau, size_t row,
+                const std::vector<std::pair<int, Num>>& cells) {
+  tableau->rows.BeginRow(row);
+  for (const auto& [col, value] : cells) {
+    tableau->rows.AppendCell(row, col, value);
+  }
+}
+
+/// The index of `col` among `cells`, or cells.size() when it is absent.
+size_t IndexOf(const std::vector<std::pair<int, Num>>& cells, int col) {
+  size_t k = 0;
+  while (k < cells.size() && cells[k].first != col) ++k;
+  return k;
 }
 
 /// Stores a cell at `col`, keeping the columns sorted, so the only thing
 /// wrong with the row afterwards is the value itself.
-void InsertCell(LpRow* row, int col, const Num& value) {
-  auto it = std::lower_bound(row->cols.begin(), row->cols.end(), col);
-  const auto k = it - row->cols.begin();
-  row->cols.insert(it, col);
-  row->vals.insert(row->vals.begin() + k, value);
+void InsertCell(LpTableau* tableau, size_t row, int col, const Num& value) {
+  std::vector<std::pair<int, Num>> cells = RowCells(*tableau, row);
+  auto it = std::lower_bound(
+      cells.begin(), cells.end(), col,
+      [](const std::pair<int, Num>& cell, int c) { return cell.first < c; });
+  cells.insert(it, {col, value});
+  RewriteRow(tableau, row, cells);
 }
 
 TEST(AuditTableauTest, SolverExportIsClean) {
@@ -149,22 +170,22 @@ TEST(AuditTableauTest, RejectsBrokenUnitColumn) {
   TableauFixture fx;
   const size_t row = fx.BasicRow();
   const int col = fx.tableau.basis[row];
-  Num* own = CellAt(&fx.tableau.rows[row], col);
-  ASSERT_NE(own, nullptr);
-  *own = Num(2);
+  std::vector<std::pair<int, Num>> cells = RowCells(fx.tableau, row);
+  const size_t own = IndexOf(cells, col);
+  ASSERT_LT(own, cells.size());
+  cells[own].second = Num(2);
+  RewriteRow(&fx.tableau, row, cells);
   EXPECT_TRUE(Mentions(AuditTableau(fx.system, fx.tableau),
                        "not unit in its own row"))
       << Joined(AuditTableau(fx.system, fx.tableau));
 
   // Dropping the own-row cell makes it zero, which is not unit either.
   TableauFixture fw;
-  LpRow& cells = fw.tableau.rows[fw.BasicRow()];
-  const int basic = fw.tableau.basis[fw.BasicRow()];
-  const auto k = std::find(cells.cols.begin(), cells.cols.end(), basic) -
-                 cells.cols.begin();
-  ASSERT_LT(static_cast<size_t>(k), cells.size());
-  cells.cols.erase(cells.cols.begin() + k);
-  cells.vals.erase(cells.vals.begin() + k);
+  cells = RowCells(fw.tableau, fw.BasicRow());
+  const size_t k = IndexOf(cells, fw.tableau.basis[fw.BasicRow()]);
+  ASSERT_LT(k, cells.size());
+  cells.erase(cells.begin() + static_cast<std::ptrdiff_t>(k));
+  RewriteRow(&fw.tableau, fw.BasicRow(), cells);
   EXPECT_TRUE(Mentions(AuditTableau(fw.system, fw.tableau),
                        "not unit in its own row"))
       << Joined(AuditTableau(fw.system, fw.tableau));
@@ -173,8 +194,7 @@ TEST(AuditTableauTest, RejectsBrokenUnitColumn) {
   TableauFixture fy;
   const size_t other = (fy.BasicRow() + 1) % fy.tableau.rows.size();
   ASSERT_NE(other, fy.BasicRow());
-  InsertCell(&fy.tableau.rows[other], fy.tableau.basis[fy.BasicRow()],
-             Num(1));
+  InsertCell(&fy.tableau, other, fy.tableau.basis[fy.BasicRow()], Num(1));
   EXPECT_TRUE(Mentions(AuditTableau(fy.system, fy.tableau),
                        "nonzero entry outside its row"))
       << Joined(AuditTableau(fy.system, fy.tableau));
@@ -182,41 +202,107 @@ TEST(AuditTableauTest, RejectsBrokenUnitColumn) {
 
 TEST(AuditTableauTest, RejectsMalformedSparseRows) {
   // A row with two stored cells, for the layout corruptions.
-  auto wide_row = [](TableauFixture* f) -> LpRow* {
-    for (LpRow& row : f->tableau.rows) {
-      if (row.size() >= 2) return &row;
+  auto wide_row = [](const TableauFixture& f) -> size_t {
+    for (size_t i = 0; i < f.tableau.rows.size(); ++i) {
+      if (f.tableau.rows.RowSize(i) >= 2) return i;
     }
     ADD_FAILURE() << "no row with two stored cells in the fixture tableau";
-    return &f->tableau.rows[0];
+    return 0;
   };
 
   TableauFixture fx;
-  LpRow* row = wide_row(&fx);
-  std::swap(row->cols[0], row->cols[1]);
-  std::swap(row->vals[0], row->vals[1]);
+  size_t row = wide_row(fx);
+  std::vector<std::pair<int, Num>> cells = RowCells(fx.tableau, row);
+  std::swap(cells[0], cells[1]);
+  RewriteRow(&fx.tableau, row, cells);
   EXPECT_TRUE(Mentions(AuditTableau(fx.system, fx.tableau),
                        "not strictly increasing"))
       << Joined(AuditTableau(fx.system, fx.tableau));
 
   TableauFixture fy;
-  row = wide_row(&fy);
-  row->cols[1] = row->cols[0];  // The same column listed twice.
+  row = wide_row(fy);
+  cells = RowCells(fy.tableau, row);
+  cells[1].first = cells[0].first;  // The same column listed twice.
+  RewriteRow(&fy.tableau, row, cells);
   EXPECT_TRUE(Mentions(AuditTableau(fy.system, fy.tableau),
                        "not strictly increasing"))
       << Joined(AuditTableau(fy.system, fy.tableau));
 
   TableauFixture fz;
   const int width = static_cast<int>(fz.tableau.columns.size());
-  fz.tableau.rows[0].Append(width, Num(3));
+  cells = RowCells(fz.tableau, 0);
+  cells.emplace_back(width, Num(3));
+  RewriteRow(&fz.tableau, 0, cells);
   EXPECT_TRUE(Mentions(AuditTableau(fz.system, fz.tableau),
                        "outside width"))
       << Joined(AuditTableau(fz.system, fz.tableau));
 
   TableauFixture fw;
-  row = wide_row(&fw);
-  row->vals[0] = Num(0);
+  row = wide_row(fw);
+  cells = RowCells(fw.tableau, row);
+  cells[0].second = Num(0);
+  RewriteRow(&fw.tableau, row, cells);
   EXPECT_TRUE(Mentions(AuditTableau(fw.system, fw.tableau), "stored zero"))
       << Joined(AuditTableau(fw.system, fw.tableau));
+}
+
+TEST(AuditTableauTest, RejectsCorruptRowStores) {
+  // A rewritten row leaves a dead run behind, which the store may hold.
+  TableauFixture fx;
+  RewriteRow(&fx.tableau, 0, RowCells(fx.tableau, 0));
+  EXPECT_TRUE(AuditTableau(fx.system, fx.tableau).empty())
+      << Joined(AuditTableau(fx.system, fx.tableau));
+
+  // Two rows over the same cells.
+  ASSERT_GE(fx.tableau.rows.size(), 2u);
+  ASSERT_GE(fx.tableau.rows.RowSize(1), 1u);
+  fx.tableau.rows.row_start[0] = fx.tableau.rows.row_start[1];
+  EXPECT_TRUE(Mentions(AuditTableauRows(fx.tableau), "share store cells"))
+      << Joined(AuditTableauRows(fx.tableau));
+
+  TableauFixture fy;
+  ++fy.tableau.rows.live_cells;
+  EXPECT_TRUE(Mentions(AuditTableauRows(fy.tableau), "live cells"))
+      << Joined(AuditTableauRows(fy.tableau));
+
+  // Big cells: one that needs the big tier is clean; a dangling index, a
+  // shared entry and an entry the small tier could hold are not.
+  const Num huge(BigInt::Pow(BigInt(10), 30));
+  TableauFixture fb;
+  std::vector<std::pair<int, Num>> cells = RowCells(fb.tableau, 0);
+  ASSERT_FALSE(cells.empty());
+  cells[0].second = huge;
+  RewriteRow(&fb.tableau, 0, cells);
+  EXPECT_TRUE(AuditTableauRows(fb.tableau).empty())
+      << Joined(AuditTableauRows(fb.tableau));
+  const size_t big_cell = fb.tableau.rows.row_start[0];
+  ASSERT_EQ(fb.tableau.rows.cell_den[big_cell], 0);
+
+  LpTableau dangling = fb.tableau;
+  dangling.rows.cell_num[big_cell] = 7;
+  EXPECT_TRUE(Mentions(AuditTableauRows(dangling), "names entry 7"))
+      << Joined(AuditTableauRows(dangling));
+
+  LpTableau shared = fb.tableau;
+  cells = RowCells(shared, 1);
+  ASSERT_FALSE(cells.empty());
+  cells[0].second = huge;
+  RewriteRow(&shared, 1, cells);
+  const size_t other = shared.rows.row_start[1];
+  ASSERT_EQ(shared.rows.cell_den[other], 0);
+  shared.rows.cell_num[other] = shared.rows.cell_num[big_cell];
+  EXPECT_TRUE(Mentions(AuditTableauRows(shared), "is shared"))
+      << Joined(AuditTableauRows(shared));
+
+  LpTableau demotable = fb.tableau;
+  demotable.rows.big[0] = Num(5);
+  EXPECT_TRUE(Mentions(AuditTableauRows(demotable), "fits the small tier"))
+      << Joined(AuditTableauRows(demotable));
+
+  LpTableau miscounted = fb.tableau;
+  ++miscounted.rows.live_big;
+  EXPECT_TRUE(Mentions(AuditTableauRows(miscounted), "live big cells"))
+      << Joined(AuditTableauRows(miscounted));
 }
 
 TEST(AuditTableauTest, RejectsDuplicateAndOutOfRangeBasis) {
@@ -280,10 +366,11 @@ TEST(AuditTableauTest, RejectsShapeMismatches) {
       Mentions(AuditTableau(fy.system, fy.tableau), "shape mismatch"))
       << Joined(AuditTableau(fy.system, fy.tableau));
 
+  // A run reaching past the cells the store has written.
   TableauFixture fz;
-  ASSERT_GE(fz.tableau.rows[0].size(), 1u);
-  fz.tableau.rows[0].vals.pop_back();
-  EXPECT_TRUE(Mentions(AuditTableau(fz.system, fz.tableau), "columns for"))
+  fz.tableau.rows.row_len[0] = fz.tableau.rows.cells_used + 1;
+  EXPECT_TRUE(
+      Mentions(AuditTableau(fz.system, fz.tableau), "past the used prefix"))
       << Joined(AuditTableau(fz.system, fz.tableau));
 }
 
@@ -375,17 +462,19 @@ TEST(AuditCompiledDtdTest, DigestValuesArePinned) {
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   CompiledDtd& artifact = const_cast<CompiledDtd&>(**compiled);
   ASSERT_TRUE(artifact.skeleton_tableau_valid);
-  auto& rows = artifact.skeleton_tableau.rows;
-  auto it = std::find_if(rows.begin(), rows.end(), [](const LpRow& row) {
-    return row.size() > 0 && row.cols.back() > 0;
-  });
-  ASSERT_NE(it, rows.end());
-  LpRow& row = *it;
-  const int width = static_cast<int>(artifact.skeleton_tableau.columns.size());
-  row.cols.push_back(0);  // Out of order.
-  row.vals.push_back(Num(3));
-  row.cols.push_back(width + 2);  // Past the width.
-  row.vals.push_back(Num(-7));
+  LpTableau& tab = artifact.skeleton_tableau;
+  size_t row = 0;
+  while (row < tab.rows.size() &&
+         !(tab.rows.RowSize(row) > 0 &&
+           tab.rows.Col(row, tab.rows.RowSize(row) - 1) > 0)) {
+    ++row;
+  }
+  ASSERT_LT(row, tab.rows.size());
+  std::vector<std::pair<int, Num>> cells = RowCells(tab, row);
+  const int width = static_cast<int>(tab.columns.size());
+  cells.emplace_back(0, Num(3));           // Out of order.
+  cells.emplace_back(width + 2, Num(-7));  // Past the width.
+  RewriteRow(&tab, row, cells);
   EXPECT_EQ(CompiledDtdDigest(artifact), 16923468096605515630ull);
 }
 

@@ -438,9 +438,8 @@ TEST(ConditionalSolverAccountingTest, SearchShapeIsPinned) {
 // leaf is the whole search and it reports what SolveIlp reports on the same
 // system; an infeasible leaf used to be searched again as the split's root.
 // Warm starts are not compared: the split solves its base LP cold and the
-// leaf warm. Systems with an infeasible LP relaxation are left out: the
-// split refutes those at its base LP, before its first node, while SolveIlp
-// counts its root node.
+// leaf warm. A system with an infeasible LP relaxation is refuted by the
+// split's base LP, which counts as the root node SolveIlp counts.
 TEST(ConditionalSolverTest, WithoutConditionalsTheSplitMatchesSolveIlp) {
   std::vector<std::pair<std::string, LinearSystem>> systems;
   LinearSystem parity;  // 2x = 1: LP-feasible, integer-infeasible.
@@ -452,9 +451,9 @@ TEST(ConditionalSolverTest, WithoutConditionalsTheSplitMatchesSolveIlp) {
     systems.emplace_back("system " + std::to_string(k),
                          DrawSmallSystem(k).system);
   }
-  size_t compared = 0;
+  size_t refuted_by_lp = 0;
   for (const auto& [name, system] : systems) {
-    if (!SolveLpFeasibility(system).feasible) continue;
+    if (!SolveLpFeasibility(system).feasible) ++refuted_by_lp;
     IlpOptions options;
     options.max_nodes = 200;
     auto ilp = SolveIlp(system, options);
@@ -465,9 +464,10 @@ TEST(ConditionalSolverTest, WithoutConditionalsTheSplitMatchesSolveIlp) {
     EXPECT_EQ(split->ilp_nodes, ilp->ilp_nodes) << name;
     EXPECT_EQ(split->cuts_added, ilp->cuts_added) << name;
     EXPECT_EQ(split->lp_pivots, ilp->lp_pivots) << name;
-    ++compared;
   }
-  EXPECT_GT(compared, 50u);
+  // Both kinds of system are covered.
+  EXPECT_GT(refuted_by_lp, 20u);
+  EXPECT_LT(refuted_by_lp, systems.size() - 50);
 }
 
 // A check stopped by its deadline reports how far it got; that partial

@@ -215,18 +215,17 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
   if (tableau != nullptr) {
     tableau->columns = columns;
     tableau->basis.assign(m, -1);
-    tableau->rows.resize(m);
+    tableau->rows.Reset(m);
     tableau->rhs.assign(m, Num());
     tableau->num_constraints = m;
     for (size_t i = 0; i < m; ++i) {
       if (static_cast<size_t>(basis[i]) < num_structural_slack) {
         tableau->basis[i] = basis[i];
       }
-      LpRow& dst = tableau->rows[i];
-      dst.clear();
+      tableau->rows.BeginRow(i);
       for (size_t j = 0; j < num_structural_slack; ++j) {
         if (!tab.At(i, j).is_zero()) {
-          dst.Append(static_cast<int>(j), tab.At(i, j));
+          tableau->rows.AppendCell(i, static_cast<int>(j), tab.At(i, j));
         }
       }
       tableau->rhs[i] = tab.At(i, rhs_col);

@@ -7,6 +7,7 @@
 
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/bigint.h"
@@ -371,6 +372,177 @@ TEST(WarmChainDifferentialTest, AppendedVariablesMatchColdAndDenseSolves) {
   EXPECT_GT(parents.warm_infeasible, 100u);
   EXPECT_GT(children.warm_feasible, 50u);
   EXPECT_GT(children.warm_infeasible, 50u);
+}
+
+// ------------------------------------------- Big cells in the row store.
+
+/// Checks a warm re-solve of `sys` against the dense oracle: kOk, the
+/// oracle's verdict, and when feasible a clean tableau whose values satisfy
+/// every row exactly.
+void ExpectWarmMatchesDense(const LinearSystem& sys, const LpTableau& tab,
+                            const WarmResult& warm) {
+  const LpResult dense = SolveLpFeasibilityDenseBland(sys);
+  ASSERT_EQ(warm.status, WarmStatus::kOk) << sys.ToString();
+  ASSERT_EQ(warm.lp.feasible, dense.feasible) << sys.ToString();
+  if (!warm.lp.feasible) return;
+  const std::vector<std::string> violations = AuditTableau(sys, tab);
+  EXPECT_TRUE(violations.empty()) << violations.front();
+  EXPECT_TRUE(SatisfiesSystem(sys, warm.lp.values)) << sys.ToString();
+}
+
+/// The value of row `row`'s cell at `col`, zero when it is not listed.
+Num CellAt(const LpTableau& tab, size_t row, int col) {
+  for (size_t k = 0; k < tab.rows.RowSize(row); ++k) {
+    if (tab.rows.Col(row, k) == col) return tab.rows.Value(row, k);
+  }
+  return Num();
+}
+
+/// Every (column, value) of every row, for comparing two stores cell by
+/// cell whatever their layout.
+std::vector<std::vector<std::pair<int, Num>>> AllCells(const LpTableau& tab) {
+  std::vector<std::vector<std::pair<int, Num>>> out(tab.rows.size());
+  for (size_t i = 0; i < tab.rows.size(); ++i) {
+    for (size_t k = 0; k < tab.rows.RowSize(i); ++k) {
+      out[i].emplace_back(tab.rows.Col(i, k), tab.rows.Value(i, k));
+    }
+  }
+  return out;
+}
+
+/// Row 0: H·x0 + x1 + H·x2 ≤ 4H, solved cold (its slack basic). Appending
+/// x0 − H·x2 ≥ 1 makes the dual pivot on x0 eliminate it from row 0 with
+/// factor H: x0 cancels on the words, then H − H·(−H) leaves the word lane
+/// mid-row (H² > 2⁶³), and the slack cells after it stay small.
+struct MergeOverflowFixture {
+  const BigInt h = BigInt::Pow(BigInt(2), 40);
+  LinearSystem sys;
+  LpTableau tab;
+  WarmResult warm;
+
+  MergeOverflowFixture() {
+    const VarId x0 = sys.AddVariable("x0");
+    const VarId x1 = sys.AddVariable("x1");
+    const VarId x2 = sys.AddVariable("x2");
+    LinearExpr budget;
+    budget.Add(x0, Num(h)).Add(x1, Num(1)).Add(x2, Num(h));
+    sys.AddConstraint(budget, RelOp::kLe, h * BigInt(4));
+    EXPECT_TRUE(SolveLpFeasibility(sys, &tab).feasible);
+    LinearExpr floor;
+    floor.Add(x0, Num(1)).Add(x2, Num(-h));
+    sys.AddConstraint(floor, RelOp::kGe, BigInt(1));
+    warm = ReSolveLpFeasibilityDualInPlace(sys, &tab);
+  }
+};
+
+TEST(RowStoreBigCellTest, MergeOverflowsTheWordLaneMidRow) {
+  const uint64_t promotions = ThisThreadNumCounters().promotions;
+  MergeOverflowFixture fx;
+  ASSERT_NO_FATAL_FAILURE(ExpectWarmMatchesDense(fx.sys, fx.tab, fx.warm));
+  ASSERT_TRUE(fx.warm.lp.feasible);
+  EXPECT_EQ(fx.warm.lp.pivots, 1u);
+  EXPECT_GT(ThisThreadNumCounters().promotions, promotions);
+  // Row 0 holds H + H² at x2 as a big cell, the cells around it on words.
+  EXPECT_EQ(fx.tab.rows.live_big, 1u);
+  EXPECT_EQ(CellAt(fx.tab, 0, 2), Num(fx.h + fx.h * fx.h));
+  EXPECT_EQ(CellAt(fx.tab, 0, 1), Num(1));
+  EXPECT_EQ(CellAt(fx.tab, 0, 0), Num());
+  EXPECT_EQ(fx.tab.rhs[0], Num(fx.h * BigInt(3)));
+  EXPECT_EQ(fx.warm.lp.values[0], Num(1));
+}
+
+TEST(RowStoreBigCellTest, PivotRowScaleOverflowsMidRow) {
+  // 2⁶²·x0 + x1 = 2⁶² solves cold to x0 + x1/2⁶² = 1. Appending
+  // 2·x0 + 8·x2 ≤ 1 prices out to −x1/2⁶¹ + 8·x2 + s = −1, and the dual
+  // pivot on x1 scales that row by −2⁶¹: x1 stays on words, 8 → −2⁶⁴ leaves
+  // them, and the slack after it comes back to words as −2⁶¹.
+  const BigInt q = BigInt::Pow(BigInt(2), 62);
+  LinearSystem sys;
+  const VarId x0 = sys.AddVariable("x0");
+  const VarId x1 = sys.AddVariable("x1");
+  const VarId x2 = sys.AddVariable("x2");
+  LinearExpr pinned;
+  pinned.Add(x0, Num(q)).Add(x1, Num(1));
+  sys.AddConstraint(pinned, RelOp::kEq, q);
+  LpTableau tab;
+  ASSERT_TRUE(SolveLpFeasibility(sys, &tab).feasible);
+  ASSERT_EQ(tab.basis[0], 0);
+  LinearExpr cap;
+  cap.Add(x0, Num(2)).Add(x2, Num(8));
+  sys.AddConstraint(cap, RelOp::kLe, BigInt(1));
+  const uint64_t promotions = ThisThreadNumCounters().promotions;
+  const WarmResult warm = ReSolveLpFeasibilityDualInPlace(sys, &tab);
+  ASSERT_NO_FATAL_FAILURE(ExpectWarmMatchesDense(sys, tab, warm));
+  ASSERT_TRUE(warm.lp.feasible);
+  EXPECT_EQ(warm.lp.pivots, 1u);
+  EXPECT_GT(ThisThreadNumCounters().promotions, promotions);
+  EXPECT_EQ(tab.rows.live_big, 1u);
+  EXPECT_EQ(CellAt(tab, 1, 1), Num(1));
+  EXPECT_EQ(CellAt(tab, 1, 2), -Num(BigInt::Pow(BigInt(2), 64)));
+  EXPECT_EQ(CellAt(tab, 1, 3), -Num(BigInt::Pow(BigInt(2), 61)));
+  // Eliminating x1 from row 0 multiplies the big cell back onto words.
+  EXPECT_EQ(CellAt(tab, 0, 2), Num(4));
+  EXPECT_EQ(warm.lp.values[0], Num(BigInt(1), BigInt(2)));
+  EXPECT_EQ(warm.lp.values[1], Num(BigInt::Pow(BigInt(2), 61)));
+}
+
+TEST(RowStoreBigCellTest, CompactionCarriesBigCells) {
+  MergeOverflowFixture fx;
+  ASSERT_TRUE(fx.warm.lp.feasible);
+  LpRowStore& store = fx.tab.rows;
+  // The pivot rewrote row 0 into a fresh run, leaving its old one dead.
+  ASSERT_GT(store.cells_used, store.live_cells);
+  const auto before = AllCells(fx.tab);
+  store.Compact();
+  EXPECT_EQ(AllCells(fx.tab), before);
+  EXPECT_EQ(store.cells_used, store.live_cells);
+  EXPECT_EQ(store.big.size(), store.live_big);
+  EXPECT_EQ(store.live_big, 1u);
+  EXPECT_TRUE(AuditTableau(fx.sys, fx.tab).empty())
+      << AuditTableau(fx.sys, fx.tab).front();
+
+  // A dead big entry asks for compaction even when dead cells are few:
+  // rewriting the big cell as a small one strands its entry.
+  std::vector<std::pair<int, Num>> cells = AllCells(fx.tab)[0];
+  for (auto& [col, value] : cells) {
+    if (!value.is_small()) value = Num(7);
+  }
+  store.BeginRow(0);
+  for (const auto& [col, value] : cells) store.AppendCell(0, col, value);
+  EXPECT_LE(store.cells_used - store.live_cells, store.live_cells);
+  EXPECT_TRUE(store.WantsCompaction());
+  store.Compact();
+  EXPECT_TRUE(store.big.empty());
+  EXPECT_FALSE(store.WantsCompaction());
+  EXPECT_TRUE(AuditTableauRows(fx.tab).empty())
+      << AuditTableauRows(fx.tab).front();
+}
+
+TEST(RowStoreBigCellTest, CopiedTableauWithBigCellsReSolves) {
+  MergeOverflowFixture fx;
+  ASSERT_TRUE(fx.warm.lp.feasible);
+  const auto parent_cells = AllCells(fx.tab);
+  // A pooled destination that already owns capacity, and a fresh copy.
+  LpTableau pooled;
+  ASSERT_TRUE(SolveLpFeasibility(fx.sys, &pooled).feasible);
+  pooled = fx.tab;
+  LpTableau fresh(fx.tab);
+  for (LpTableau* child : {&pooled, &fresh}) {
+    TrailScope scope(&fx.sys);
+    // x1 + x2 ≥ 1 pivots on x1, and eliminating x1 from row 0 updates the
+    // copied big cell there on the exact route.
+    LinearExpr either;
+    either.Add(1, Num(1)).Add(2, Num(1));
+    fx.sys.AddConstraint(either, RelOp::kGe, BigInt(1));
+    const WarmResult warm = ReSolveLpFeasibilityDualInPlace(fx.sys, child);
+    ASSERT_NO_FATAL_FAILURE(ExpectWarmMatchesDense(fx.sys, *child, warm));
+    ASSERT_TRUE(warm.lp.feasible);
+    EXPECT_EQ(warm.lp.values[1], Num(1));
+    EXPECT_EQ(CellAt(*child, 0, 2), Num(fx.h + fx.h * fx.h - BigInt(1)));
+  }
+  // The children pivoted their own copies: the parent's cells are intact.
+  EXPECT_EQ(AllCells(fx.tab), parent_cells);
+  EXPECT_TRUE(AuditTableau(fx.sys, fx.tab).empty());
 }
 
 // ------------------------------------------------------ Instrumentation.
